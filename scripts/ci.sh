@@ -30,7 +30,12 @@
 #      keeps answering with labelled degraded payloads, then recover;
 #      a corrupt store version offered to hot-reload must be rejected
 #      with the old store still serving (see docs/serving_resilience.md).
-#   8. perf-regression gate — scripts/check_bench.py diffs the fresh
+#   8. perfbench smoke — a 2-second traced train-yelp run must exit 0
+#      and count training steps (core.steps > 0 in its final JSON line),
+#      and an 8-second serve-http run (seed 5) must exit 0.  The repository
+#      benchmark (perfbench/, BENCHMARK.json) wraps trainer and serving
+#      entry points by name; a refactor that moves one breaks here.
+#   9. perf-regression gate — scripts/check_bench.py diffs the fresh
 #      benchmarks/out/BENCH_*.json against the copies committed at HEAD
 #      and fails on >1.5x latency / <0.67x throughput; artifacts the
 #      bench steps have not refreshed compare equal and pass through.
@@ -271,6 +276,22 @@ assert not thread.is_alive(), "server thread failed to stop"
 print(f"serve-chaos smoke OK: degraded->recovered, corrupt reload rejected "
       f"and rolled back on port {port}")
 PY
+
+echo "== perfbench smoke =="
+python3 perfbench/run.py --workload train-yelp --seed 1 --seconds 2 --trace 1 \
+    > "$SMOKE_DIR/perfbench-train.log"
+tail -n 1 "$SMOKE_DIR/perfbench-train.log" | python -c '
+import json, sys
+steps = json.loads(sys.stdin.read())["metrics"]["core.steps"]["value"]
+assert steps > 0, f"traced train-yelp counted no training steps: {steps}"
+print(f"perfbench train-yelp OK: {steps} traced training steps")
+'
+# 8 s, not 2: at ~44 req/s the run needs ~200 requests before its p95
+# has the 10 samples beyond it that the benchmark requires.  Seed 5 hits
+# clip-floor rating ties, so it also checks online == offline ranking.
+python3 perfbench/run.py --workload serve-http --seed 5 --seconds 8 \
+    > "$SMOKE_DIR/perfbench-serve.log"
+echo "perfbench serve-http OK"
 
 echo "== perf-regression gate =="
 python scripts/check_bench.py

@@ -487,26 +487,15 @@ def run_plan(
     against a live model.
     """
     from .core import RRRETrainer, fast_config
-    from .core.model import RRRE
-    from .data import InputSlots, ReviewTextTable, load_dataset, train_test_split
+    from .data import load_dataset, train_test_split
     from .plan import compile_plan
 
-    cfg = fast_config()
+    trainer = RRRETrainer(fast_config())
     dataset = load_dataset(dataset_name, seed=0, scale=scale)
     train, _ = train_test_split(dataset, seed=0)
-    table = ReviewTextTable.build(
-        dataset,
-        max_len=cfg.max_len,
-        min_count=cfg.min_word_count,
-        max_vocab=cfg.max_vocab,
-    )
-    model = RRRE(
-        cfg,
-        num_users=dataset.num_users,
-        num_items=dataset.num_items,
-        vocab_size=len(table.vocab),
-    )
-    plan = compile_plan(model, batch_size=cfg.batch_size, seq_len=cfg.max_len)
+    trainer._prepare(dataset, train)
+    cfg = trainer.config
+    plan = compile_plan(trainer.model, batch_size=cfg.batch_size, seq_len=cfg.max_len)
     print(plan.describe(explain=explain))
     if report_json:
         from .obs.report import SCHEMA_VERSION, _jsonable
@@ -580,27 +569,15 @@ def run_analyze(
             failed.append("shapes")
 
     if graph:
-        from .core.model import RRRE
-        from .data import InputSlots, ReviewTextTable, load_dataset, train_test_split
+        from .core import RRRETrainer
+        from .data import load_dataset, train_test_split
 
-        cfg = RRREConfig(epochs=1)
+        trainer = RRRETrainer(RRREConfig(epochs=1))
         dataset = load_dataset("yelpchi", seed=0, scale=0.1)
         train, _ = train_test_split(dataset, seed=0)
-        table = ReviewTextTable.build(
-            dataset,
-            max_len=cfg.max_len,
-            min_count=cfg.min_word_count,
-            max_vocab=cfg.max_vocab,
-        )
-        slots = InputSlots.build(train, s_u=cfg.s_u, s_i=cfg.s_i)
-        model = RRRE(
-            cfg,
-            num_users=dataset.num_users,
-            num_items=dataset.num_items,
-            vocab_size=len(table.vocab),
-        )
+        trainer._prepare(dataset, train)
         try:
-            result = preflight(model, slots, table, mode="strict")
+            result = preflight(trainer.model, trainer.slots, trainer.table, mode="strict")
             info = result["graph"]
             print(
                 f"graph: OK ({info['num_nodes']} tape nodes, "

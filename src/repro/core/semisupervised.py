@@ -19,19 +19,19 @@ AUC — the experiment in ``benchmarks/bench_ext_semisupervised.py``.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Optional
 
 import numpy as np
 
-from repro.nn import Adam, clip_grad_norm, cross_entropy_loss, weighted_mse_loss
+from repro.nn import Adam, cross_entropy_loss, weighted_mse_loss
 from repro.nn import functional as F
+from repro.obs import RunObserver
 
-from ..data import InputSlots, ReviewDataset, ReviewSubset, ReviewTextTable, iter_batches
+from ..data import ReviewDataset, ReviewSubset
 from .config import RRREConfig
-from .model import RRRE
-from .trainer import EpochRecord, RRRETrainer
+from .losses import JointLossParts
+from .trainer import RRRETrainer
 
 
 @dataclass
@@ -45,6 +45,10 @@ class SelfTrainingState:
 
 class SemiSupervisedRRRETrainer(RRRETrainer):
     """RRRE trained with a partial reliability-label budget.
+
+    Setup and the step loop are :class:`RRRETrainer`'s; only the batch
+    loss (:meth:`_batch_loss`) differs.  The self-training rounds and
+    pseudo-label adoption wrap that loop.
 
     Parameters
     ----------
@@ -89,18 +93,9 @@ class SemiSupervisedRRRETrainer(RRRETrainer):
     ) -> "SemiSupervisedRRRETrainer":
         cfg = self.config
         rng = np.random.default_rng(cfg.seed)
-        self.dataset = dataset
-        self.table = ReviewTextTable.build(
-            dataset, max_len=cfg.max_len, min_count=cfg.min_word_count, max_vocab=cfg.max_vocab
-        )
-        self.slots = InputSlots.build(train, s_u=cfg.s_u, s_i=cfg.s_i)
-        self._rating_range = (float(train.ratings.min()), float(train.ratings.max()))
-        self.model = RRRE(
-            cfg,
-            num_users=dataset.num_users,
-            num_items=dataset.num_items,
-            vocab_size=len(self.table.vocab),
-        )
+        self._prepare(dataset, train)
+        if cfg.pretrain_words:
+            self._pretrain_words(dataset, train)
 
         # Label budget over the training reviews.
         train_idx = train.index_array
@@ -117,10 +112,13 @@ class SemiSupervisedRRRETrainer(RRRETrainer):
         self.state = SelfTrainingState(labeled_mask=labeled_mask, soft_weights=soft)
 
         optimizer = Adam(self.model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+        observer = RunObserver()
         self.history = []
         for round_no in range(1, self.rounds + 1):
             for epoch in range(1, cfg.epochs + 1):
-                record = self._train_epoch(train, optimizer, rng, round_no, epoch)
+                record, _ = self._train_epoch(
+                    train, optimizer, rng, (round_no - 1) * cfg.epochs + epoch, observer
+                )
                 if test is not None:
                     record.eval_metrics = self.evaluate(test)
                 self.history.append(record)
@@ -142,48 +140,26 @@ class SemiSupervisedRRRETrainer(RRRETrainer):
         return self
 
     # ------------------------------------------------------------------
-    def _train_epoch(self, train, optimizer, rng, round_no, epoch) -> EpochRecord:
+    def _batch_loss(self, out, batch) -> JointLossParts:
+        """Masked reliability CE plus soft-weighted rating MSE.
+
+        Reviews without a visible label drop out of the reliability loss
+        (Eq. 11, masked) and weight the rating loss (Eq. 14) by their
+        current soft pseudo-weight instead of the label.
+        """
         cfg = self.config
-        start = time.perf_counter()
-        self.model.train()
-        sums = np.zeros(3)
-        batches = 0
-        for batch in iter_batches(train, cfg.batch_size, shuffle=True, rng=rng):
-            optimizer.zero_grad()
-            out = self.model(batch.user_ids, batch.item_ids, self.slots, self.table)
-
-            labeled = self.state.labeled_mask[batch.review_indices]
-            weights = self.state.soft_weights[batch.review_indices]
-
-            # Reliability CE over the labeled rows only (Eq. 11, masked).
-            if labeled.any():
-                rows = np.flatnonzero(labeled)
-                logits = F.getitem(out.reliability_logits, (rows,))
-                loss1 = cross_entropy_loss(logits, batch.labels[rows])
-            else:
-                loss1 = None
-
-            # Rating loss weighted by labels / soft pseudo-weights (Eq. 14).
-            loss2 = weighted_mse_loss(out.rating, batch.ratings, weights)
-
-            if loss1 is None:
-                total = loss2
-                loss1_value = 0.0
-            else:
-                total = cfg.lambda_weight * loss1 + (1.0 - cfg.lambda_weight) * loss2
-                loss1_value = float(loss1.data)
-            total.backward()
-            clip_grad_norm(self.model.parameters(), cfg.grad_clip)
-            optimizer.step()
-            sums += (float(total.data), loss1_value, float(loss2.data))
-            batches += 1
-        return EpochRecord(
-            epoch=(round_no - 1) * cfg.epochs + epoch,
-            train_loss=sums[0] / max(batches, 1),
-            reliability_loss=sums[1] / max(batches, 1),
-            rating_loss=sums[2] / max(batches, 1),
-            seconds=time.perf_counter() - start,
-        )
+        labeled = self.state.labeled_mask[batch.review_indices]
+        weights = self.state.soft_weights[batch.review_indices]
+        loss1 = None
+        if labeled.any():
+            rows = np.flatnonzero(labeled)
+            logits = F.getitem(out.reliability_logits, (rows,))
+            loss1 = cross_entropy_loss(logits, batch.labels[rows])
+        loss2 = weighted_mse_loss(out.rating, batch.ratings, weights)
+        if loss1 is None:
+            return JointLossParts(loss2, reliability_loss=0.0, rating_loss=float(loss2.data))
+        total = cfg.lambda_weight * loss1 + (1.0 - cfg.lambda_weight) * loss2
+        return JointLossParts(total, float(loss1.data), float(loss2.data))
 
     def _adopt_pseudo_labels(self, train) -> None:
         """Turn confident predictions on unlabeled train reviews into labels."""

@@ -10,7 +10,6 @@ feeds the Fig. 2-4 benchmarks.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple, Union
 
@@ -28,19 +27,7 @@ from repro.resilience import (
     check_config_compatible,
     restore_rng_states,
 )
-from repro.obs import (
-    HealthSuite,
-    MetricsRegistry,
-    ModuleProfiler,
-    RunReport,
-    Telemetry,
-    TimerRegistry,
-    Tracer,
-    TracingTimerRegistry,
-    attention_entropy,
-    use_metrics,
-)
-from repro.obs import trace as _trace
+from repro.obs import HealthSuite, MetricsRegistry, RunObserver, RunReport, Telemetry
 
 from ..data import (
     InputSlots,
@@ -59,28 +46,28 @@ from ..metrics import (
 )
 from ..text import train_skipgram
 from .config import RRREConfig
-from .losses import joint_loss
+from .losses import JointLossParts, joint_loss
 from .model import RRRE
 
 
-def _maybe_timer(registry: Optional[TimerRegistry], name: str):
-    """A registry scope when telemetry is on, else a no-op context."""
-    return registry.timer(name) if registry is not None else nullcontext()
-
-
-def _maybe_metrics(registry: Optional[MetricsRegistry]):
-    """Activate ``registry`` for the block, or do nothing when disabled."""
-    return use_metrics(registry) if registry is not None else nullcontext()
-
-
 class _EpochDiverged(Exception):
-    """Internal: a batch failed the divergence guard; the epoch aborts."""
+    """Internal: the divergence guard rejected a step or an epoch; it aborts."""
 
-    def __init__(self, reason: str, value: float, step: int) -> None:
+    def __init__(self, reason: str, value: float, epoch: int, step: int) -> None:
         super().__init__(reason)
         self.reason = reason
         self.value = value
+        self.epoch = epoch
         self.step = step
+
+
+def _as_guard(guard) -> Optional[DivergenceGuard]:
+    """``fit(guard=...)`` as a guard: True, a policy, a guard, or off."""
+    if guard is True:
+        return DivergenceGuard()
+    if isinstance(guard, DivergencePolicy):
+        return DivergenceGuard(guard)
+    return guard or None
 
 
 @dataclass
@@ -155,8 +142,9 @@ class RRRETrainer:
         installed (:func:`repro.obs.use_tracer`) or
         ``telemetry.events_path`` is set, every timed phase also emits
         trace spans and the run streams ``run_start``/``epoch``/
-        ``health``/``run_end`` events.  The default (``None``/``False``)
-        runs the untouched fast path.
+        ``health``/``run_end`` events.  All of it goes through one
+        :class:`repro.obs.RunObserver`; the default (``None``/``False``)
+        leaves it empty and runs the untouched fast path.
 
         Fault tolerance (see ``docs/resilience.md``): ``checkpoint_dir``
         persists a :class:`repro.resilience.TrainState` every
@@ -194,20 +182,11 @@ class RRRETrainer:
         The compiled plan is kept on :attr:`plan` for inspection.
         """
         cfg = self.config
-        if telemetry is True:
-            telemetry = Telemetry()
-        elif not telemetry:
-            telemetry = None
         if checkpoint_every < 1:
             raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
         if resume and checkpoint_dir is None:
             raise ValueError("resume=True requires checkpoint_dir")
-        if guard is True:
-            guard = DivergenceGuard()
-        elif isinstance(guard, DivergencePolicy):
-            guard = DivergenceGuard(guard)
-        elif not guard:
-            guard = None
+        guard = _as_guard(guard)
         manager: Optional[CheckpointManager] = None
         if checkpoint_dir is not None:
             manager = CheckpointManager(
@@ -215,374 +194,97 @@ class RRRETrainer:
                 keep=keep_checkpoints,
                 fault_hook=chaos.on_checkpoint if chaos is not None else None,
             )
-        restored: Optional[TrainState] = None
-        if resume and manager is not None:
-            restored = manager.latest_good()
-        tracer: Optional[Tracer] = None
-        owned_tracer = False
-        registry: Optional[TimerRegistry] = None
-        if telemetry:
-            tracer = _trace.current_tracer()
-            if tracer is None and telemetry.events_path:
-                tracer = Tracer(telemetry.events_path)
-                owned_tracer = True
-            registry = (
-                TracingTimerRegistry(tracer) if tracer is not None else TimerRegistry()
-            )
-        metrics_registry = (
-            MetricsRegistry() if telemetry and telemetry.metrics else None
-        )
-        health = HealthSuite() if telemetry and telemetry.health else None
-        profiler: Optional[ModuleProfiler] = None
+        restored = manager.latest_good() if resume else None
+        observer = RunObserver(telemetry, verbose)
         self.report = None
-        self.metrics_registry = metrics_registry
-        self.health = health
+        self.metrics_registry = observer.metrics
+        self.health = observer.health
 
         rng = np.random.default_rng(cfg.seed)
-        self.dataset = dataset
-        with _maybe_timer(registry, "fit.vocab"):
-            self.table = ReviewTextTable.build(
-                dataset,
-                max_len=cfg.max_len,
-                min_count=cfg.min_word_count,
-                max_vocab=cfg.max_vocab,
-            )
-            self.slots = InputSlots.build(train, s_u=cfg.s_u, s_i=cfg.s_i)
-        self._rating_range = (float(train.ratings.min()), float(train.ratings.max()))
-
-        self.model = RRRE(
-            cfg,
-            num_users=dataset.num_users,
-            num_items=dataset.num_items,
-            vocab_size=len(self.table.vocab),
-        )
+        with observer.phase("fit.vocab"):
+            self._prepare(dataset, train)
         self.plan = None
         if plan:
             from repro.plan import compile_plan
 
-            with _maybe_timer(registry, "fit.plan_compile"):
+            with observer.phase("fit.plan_compile"):
                 self.plan = compile_plan(
                     self.model, batch_size=cfg.batch_size, seq_len=cfg.max_len
                 ).install()
         if validate:
             from repro.analysis import preflight
 
-            with _maybe_timer(registry, "fit.preflight"):
+            with observer.phase("fit.preflight"):
                 preflight(self.model, self.slots, self.table, mode=validate)
         if cfg.pretrain_words and restored is None:
             # A resumed run restores the trained word vectors from the
             # checkpoint; re-running skip-gram would be wasted work.
-            with _maybe_timer(registry, "fit.pretrain_words"):
-                train_tokens = [dataset.tokens[int(i)] for i in train.index_array]
-                vectors = train_skipgram(
-                    train_tokens,
-                    self.table.vocab,
-                    dim=cfg.word_dim,
-                    epochs=1,
-                    seed=cfg.seed,
-                )
-                self.model.word_embedding.load_pretrained(vectors)
+            with observer.phase("fit.pretrain_words"):
+                self._pretrain_words(dataset, train)
 
-        optimizer = Adam(
-            self.model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay
+        optimizer = Adam(self.model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+        run_info = dict(
+            dataset=dataset.name,
+            users=dataset.num_users,
+            items=dataset.num_items,
+            reviews=len(dataset.reviews),
+            epochs=cfg.epochs,
+            encoder=cfg.encoder,
+            seed=cfg.seed,
         )
-        start_epoch = 0
+        epoch = 0
         if restored is not None:
-            problems = check_config_compatible(restored.config, asdict(cfg))
-            if problems:
-                raise CheckpointError(
-                    "checkpoint is incompatible with the current config: "
-                    + "; ".join(problems)
-                )
-            self._restore_state(restored, optimizer, rng)
-            if guard is not None:
-                guard.retries = restored.retries
-            start_epoch = restored.epoch
-            if verbose:
-                print(f"[resilience] resumed from checkpoint at epoch {start_epoch}")
-        if telemetry and telemetry.profile_layers:
-            profiler = ModuleProfiler(
-                backward_timing=telemetry.backward_timing,
-                check_finite=telemetry.check_finite,
-                graph_stats=telemetry.graph_stats,
-                activation_stats=telemetry.activation_stats,
-            )
-            profiler.attach(self.model)
-
-        if tracer is not None:
-            run_info = dict(
-                dataset=dataset.name,
-                users=dataset.num_users,
-                items=dataset.num_items,
-                reviews=len(dataset.reviews),
-                epochs=cfg.epochs,
-                encoder=cfg.encoder,
-                seed=cfg.seed,
-            )
-            if restored is not None:
-                run_info["resumed_from_epoch"] = start_epoch
-            tracer.event("run_start", **run_info)
-        if metrics_registry is not None:
-            epoch_hist = metrics_registry.histogram(
-                "repro_epoch_seconds", "Wall time per training epoch"
-            ).labels()
-            loss_gauge = metrics_registry.gauge(
-                "repro_train_loss", "Mean joint loss of the last epoch"
-            ).labels()
-            grad_gauge = metrics_registry.gauge(
-                "repro_grad_norm", "Mean pre-clip gradient norm of the last epoch"
-            ).labels()
-            epoch_counter = metrics_registry.counter(
-                "repro_epochs_total", "Training epochs completed"
-            ).labels()
-
-        if restored is None:
+            epoch = self._resume(restored, optimizer, rng, guard)
+            run_info["resumed_from_epoch"] = epoch
+        else:
             self.history = []
+        # The rollback/checkpoint anchor; the start state covers
+        # divergence in the very first epoch.
         track_state = guard is not None or manager is not None
-        last_good: Optional[TrainState] = None
-        if track_state:
-            # The rollback/checkpoint anchor; epoch 0 covers divergence
-            # in the very first epoch.
-            last_good = restored or self._snapshot_state(optimizer, rng, start_epoch)
-        try:
-            with _maybe_metrics(metrics_registry):
-                epoch = start_epoch
-                while epoch < cfg.epochs:
-                    target = epoch + 1
-                    start = time.perf_counter()
-                    self.model.train()
-                    sums = np.zeros(3)
-                    grad_norm_sum = 0.0
-                    n_batches = 0
-                    entropy_sum = 0.0
-                    entropy_max_sum = 0.0
-                    try:
-                        with _maybe_timer(registry, "fit.epoch.train"):
-                            step_in_epoch = 0
-                            for batch in iter_batches(
-                                train, cfg.batch_size, shuffle=True, rng=rng
-                            ):
-                                step_in_epoch += 1
-                                if chaos is not None:
-                                    batch = chaos.on_batch(target, step_in_epoch, batch)
-                                optimizer.zero_grad()
-                                out = self.model(
-                                    batch.user_ids, batch.item_ids, self.slots, self.table
-                                )
-                                parts = joint_loss(
-                                    out.rating,
-                                    out.reliability_logits,
-                                    batch.ratings,
-                                    batch.labels,
-                                    lambda_weight=cfg.lambda_weight,
-                                    biased=cfg.biased_loss,
-                                )
-                                parts.total.backward()
-                                if chaos is not None:
-                                    chaos.on_gradients(
-                                        target, step_in_epoch, self.model.parameters()
-                                    )
-                                grad_norm = clip_grad_norm(
-                                    self.model.parameters(), cfg.grad_clip
-                                )
-                                loss_value = float(parts.total.data)
-                                if guard is not None:
-                                    reason = guard.check_batch(loss_value, grad_norm)
-                                    if reason is not None:
-                                        value = (
-                                            loss_value
-                                            if "loss" in reason
-                                            else grad_norm
-                                        )
-                                        raise _EpochDiverged(
-                                            reason, value, step_in_epoch
-                                        )
-                                optimizer.step()
-                                grad_norm_sum += grad_norm
-                                sums += (
-                                    loss_value,
-                                    parts.reliability_loss,
-                                    parts.rating_loss,
-                                )
-                                n_batches += 1
-                                if health is not None:
-                                    stats = attention_entropy(
-                                        out.user_attention.data,
-                                        self.slots.user_slot_mask[batch.user_ids],
-                                    )
-                                    entropy_sum += stats["entropy"]
-                                    entropy_max_sum += stats["max_entropy"]
-                    except _EpochDiverged as diverged:
-                        self._rollback(
-                            diverged.reason,
-                            diverged.value,
-                            diverged.step,
-                            target,
-                            guard,
-                            last_good,
-                            optimizer,
-                            rng,
-                            tracer,
-                            metrics_registry,
-                            registry,
-                            verbose,
-                        )
-                        continue
-                    seconds = time.perf_counter() - start
+        last_good = restored
+        if track_state and last_good is None:
+            last_good = self._snapshot_state(optimizer, rng, epoch)
 
-                    record = EpochRecord(
-                        epoch=target,
-                        train_loss=sums[0] / max(n_batches, 1),
-                        reliability_loss=sums[1] / max(n_batches, 1),
-                        rating_loss=sums[2] / max(n_batches, 1),
-                        seconds=seconds,
-                        grad_norm=grad_norm_sum / max(n_batches, 1),
+        with observer.run(self.model, **run_info):
+            while epoch < cfg.epochs:
+                try:
+                    record, steps = self._train_epoch(
+                        train, optimizer, rng, epoch + 1, observer, guard, chaos
                     )
-                    ece: Optional[float] = None
-                    if test is not None:
-                        with _maybe_timer(registry, "fit.epoch.eval"):
-                            ratings, reliabilities = self.predict_subset(test)
-                            record.eval_metrics = self._score_predictions(
-                                ratings, reliabilities, test
-                            )
-                            if health is not None:
-                                ece = expected_calibration_error(
-                                    reliabilities, test.labels
-                                )
-                    self.history.append(record)
+                except _EpochDiverged as diverged:
+                    self._rollback(diverged, guard, last_good, optimizer, rng, observer)
+                    continue
+                ece = None if test is None else self._evaluate_epoch(record, test, observer)
+                self.history.append(record)
+                alerts = observer.epoch(asdict(record), ece)
+                # Epoch-level trigger: a fresh critical health alert can
+                # roll the whole epoch back (opt-in via
+                # DivergencePolicy.halt_on_health_critical).
+                reason = guard.check_health(alerts) if guard is not None else None
+                if reason is not None:
+                    diverged = _EpochDiverged(reason, 1.0, record.epoch, steps)
+                    self._rollback(diverged, guard, last_good, optimizer, rng, observer)
+                    continue
+                epoch = record.epoch
+                if track_state:
+                    retries = guard.retries if guard is not None else 0
+                    last_good = self._snapshot_state(optimizer, rng, epoch, retries)
+                    if manager is not None and (
+                        epoch % checkpoint_every == 0 or epoch == cfg.epochs
+                    ):
+                        self._write_checkpoint(manager, last_good, observer)
 
-                    new_alerts = []
-                    if health is not None:
-                        new_alerts.append(
-                            health.gradient.observe(target, record.grad_norm)
-                        )
-                        if n_batches:
-                            new_alerts.append(
-                                health.attention.observe(
-                                    target,
-                                    entropy_sum / n_batches,
-                                    entropy_max_sum / n_batches,
-                                )
-                            )
-                        if ece is not None:
-                            new_alerts.append(
-                                health.calibration.observe(target, ece)
-                            )
-                        if profiler is not None and telemetry.activation_stats:
-                            new_alerts.extend(
-                                health.dead_units.observe_layers(
-                                    target, profiler.layer_profiles()
-                                )
-                            )
-                        new_alerts = [a for a in new_alerts if a is not None]
-                    if metrics_registry is not None:
-                        epoch_hist.observe(seconds)
-                        loss_gauge.set(record.train_loss)
-                        grad_gauge.set(record.grad_norm)
-                        epoch_counter.inc()
-                        if ece is not None:
-                            metrics_registry.gauge(
-                                "repro_calibration_ece",
-                                "Reliability-head ECE on the test split",
-                            ).labels().set(ece)
-                    if tracer is not None:
-                        payload = dict(asdict(record))
-                        payload.update(payload.pop("eval_metrics", {}))
-                        if ece is not None:
-                            payload["ece"] = ece
-                        tracer.event("epoch", **payload)
-                        for alert in new_alerts:
-                            tracer.event("health", **alert.to_dict())
-                    if verbose:
-                        extra = " ".join(
-                            f"{k}={v:.4f}" for k, v in record.eval_metrics.items()
-                        )
-                        print(
-                            f"[{dataset.name}] epoch {target}/{cfg.epochs} "
-                            f"loss={record.train_loss:.4f} ({seconds:.1f}s) {extra}"
-                        )
-
-                    if guard is not None:
-                        # Epoch-level trigger: a fresh critical health
-                        # alert can roll the whole epoch back (opt-in
-                        # via DivergencePolicy.halt_on_health_critical).
-                        reason = guard.check_health(new_alerts)
-                        if reason is not None:
-                            self._rollback(
-                                reason,
-                                1.0,
-                                n_batches,
-                                target,
-                                guard,
-                                last_good,
-                                optimizer,
-                                rng,
-                                tracer,
-                                metrics_registry,
-                                registry,
-                                verbose,
-                            )
-                            continue
-
-                    epoch = target
-                    if track_state:
-                        last_good = self._snapshot_state(
-                            optimizer,
-                            rng,
-                            epoch,
-                            retries=guard.retries if guard is not None else 0,
-                        )
-                        if manager is not None and (
-                            epoch % checkpoint_every == 0 or epoch == cfg.epochs
-                        ):
-                            self._write_checkpoint(
-                                manager,
-                                last_good,
-                                tracer,
-                                metrics_registry,
-                                registry,
-                                verbose,
-                            )
-        finally:
-            if profiler is not None:
-                profiler.detach()
-
-        if telemetry:
-            self.report = self._build_report(
-                dataset, train, registry, profiler, health, metrics_registry
-            )
-        if tracer is not None:
-            tracer.event(
-                "run_end",
-                epochs=len(self.history),
-                health=health.status if health is not None else "unknown",
-                **(dict(self.history[-1].eval_metrics) if self.history else {}),
-            )
-            if owned_tracer:
-                tracer.close()
+        self.report = observer.finish(
+            [asdict(record) for record in self.history],
+            **self._report_sections(dataset, train),
+        )
         return self
 
-    # ------------------------------------------------------------------
-    def _build_report(
-        self,
-        dataset: ReviewDataset,
-        train: ReviewSubset,
-        registry: Optional[TimerRegistry],
-        profiler: Optional[ModuleProfiler],
-        health: Optional[HealthSuite] = None,
-        metrics_registry: Optional[MetricsRegistry] = None,
-    ) -> RunReport:
-        """Assemble the :class:`RunReport` of the fit that just finished."""
+    def _report_sections(self, dataset: ReviewDataset, train: ReviewSubset) -> Dict:
+        """The :class:`RunReport` sections only the trainer knows."""
         from repro import __version__
 
-        backward: Dict[str, float] = {}
-        if profiler is not None and profiler.graph_stats:
-            backward = {
-                "passes": profiler.backward_passes,
-                "seconds": profiler.backward_seconds,
-                "tape_nodes": profiler.tape_nodes,
-            }
-        return RunReport(
+        return dict(
             config=asdict(self.config),
             dataset={
                 "name": dataset.name,
@@ -591,18 +293,131 @@ class RRRETrainer:
                 "reviews": len(dataset.reviews),
                 "train_reviews": int(len(train.ratings)),
             },
-            history=[asdict(record) for record in self.history],
-            layers=profiler.layer_profiles() if profiler is not None else [],
-            timers=registry.snapshot() if registry is not None else {},
-            eval_metrics=dict(self.history[-1].eval_metrics) if self.history else {},
             model={
                 "parameters": self.model.num_parameters(),
                 "components": self.model.component_summary(),
             },
-            backward=backward,
-            health=health.report() if health is not None else {},
-            metrics=metrics_registry.snapshot() if metrics_registry is not None else {},
             meta={"library": "repro", "version": __version__, "seed": self.config.seed},
+        )
+
+    # ------------------------------------------------------------------
+    def _prepare(self, dataset: ReviewDataset, train: ReviewSubset) -> None:
+        """Build everything derived from the data and a freshly initialised model.
+
+        The token table (vocabulary from ``dataset``), the latest-``m``
+        review slots and the clip range of predicted ratings (from
+        ``train``), then :class:`RRRE` sized to them.  Deterministic, so
+        :meth:`load` rebuilds exactly what :meth:`fit` trained on.
+        """
+        cfg = self.config
+        self.dataset = dataset
+        self.table = ReviewTextTable.build(
+            dataset,
+            max_len=cfg.max_len,
+            min_count=cfg.min_word_count,
+            max_vocab=cfg.max_vocab,
+        )
+        self.slots = InputSlots.build(train, s_u=cfg.s_u, s_i=cfg.s_i)
+        self._rating_range = (float(train.ratings.min()), float(train.ratings.max()))
+        self.model = RRRE(
+            cfg,
+            num_users=dataset.num_users,
+            num_items=dataset.num_items,
+            vocab_size=len(self.table.vocab),
+        )
+
+    def _pretrain_words(self, dataset: ReviewDataset, train: ReviewSubset) -> None:
+        """Initialise the word embedding with skip-gram vectors of the train reviews."""
+        cfg = self.config
+        train_tokens = [dataset.tokens[int(i)] for i in train.index_array]
+        vectors = train_skipgram(
+            train_tokens, self.table.vocab, dim=cfg.word_dim, epochs=1, seed=cfg.seed
+        )
+        self.model.word_embedding.load_pretrained(vectors)
+
+    def _train_epoch(
+        self,
+        train: ReviewSubset,
+        optimizer,
+        rng: np.random.Generator,
+        epoch: int,
+        observer: RunObserver,
+        guard: Optional[DivergenceGuard] = None,
+        chaos: Optional[ChaosEngine] = None,
+    ) -> Tuple[EpochRecord, int]:
+        """One pass over ``train``; returns the history row and its step count.
+
+        Every step: forward, :meth:`_batch_loss`, backward, gradient
+        clipping, the guard's check, then the optimizer update.  A guard
+        hit raises :class:`_EpochDiverged` before the update is applied.
+        """
+        cfg = self.config
+        start = time.perf_counter()
+        self.model.train()
+        sums = np.zeros(3)
+        grad_norm_sum = 0.0
+        steps = 0
+        with observer.phase("fit.epoch.train"):
+            batches = iter_batches(train, cfg.batch_size, shuffle=True, rng=rng)
+            for step, batch in enumerate(batches, 1):
+                if chaos is not None:
+                    batch = chaos.on_batch(epoch, step, batch)
+                optimizer.zero_grad()
+                out = self.model(batch.user_ids, batch.item_ids, self.slots, self.table)
+                parts = self._batch_loss(out, batch)
+                parts.total.backward()
+                if chaos is not None:
+                    chaos.on_gradients(epoch, step, self.model.parameters())
+                grad_norm = clip_grad_norm(self.model.parameters(), cfg.grad_clip)
+                loss = float(parts.total.data)
+                if guard is not None:
+                    reason = guard.check_batch(loss, grad_norm)
+                    if reason is not None:
+                        value = loss if "loss" in reason else grad_norm
+                        raise _EpochDiverged(reason, value, epoch, step)
+                optimizer.step()
+                grad_norm_sum += grad_norm
+                sums += (loss, parts.reliability_loss, parts.rating_loss)
+                steps = step
+                observer.batch(
+                    out.user_attention.data, self.slots.user_slot_mask, batch.user_ids
+                )
+        n = max(steps, 1)
+        record = EpochRecord(
+            epoch=epoch,
+            train_loss=sums[0] / n,
+            reliability_loss=sums[1] / n,
+            rating_loss=sums[2] / n,
+            seconds=time.perf_counter() - start,
+            grad_norm=grad_norm_sum / n,
+        )
+        return record, steps
+
+    def _evaluate_epoch(
+        self, record: EpochRecord, test: ReviewSubset, observer: RunObserver
+    ) -> Optional[float]:
+        """Score ``test`` into ``record.eval_metrics``.
+
+        Returns the reliability head's calibration error when the
+        observer's health monitors want it (else None).
+        """
+        with observer.phase("fit.epoch.eval"):
+            ratings, reliabilities = self.predict_subset(test)
+            record.eval_metrics = self._score_predictions(ratings, reliabilities, test)
+            if observer.health is None:
+                return None
+            return expected_calibration_error(reliabilities, test.labels)
+
+    def _batch_loss(self, out, batch) -> JointLossParts:
+        """The training objective of one batch: the joint loss of paper Eq. 15."""
+        cfg = self.config
+        return joint_loss(
+            out.rating,
+            out.reliability_logits,
+            batch.ratings,
+            batch.labels,
+            lambda_weight=cfg.lambda_weight,
+            biased=cfg.biased_loss,
         )
 
     # ------------------------------------------------------------------
@@ -627,6 +442,25 @@ class RRRETrainer:
             metrics=dict(self.history[-1].eval_metrics) if self.history else {},
         )
 
+    def _resume(
+        self,
+        state: TrainState,
+        optimizer,
+        rng: np.random.Generator,
+        guard: Optional[DivergenceGuard],
+    ) -> int:
+        """Continue from a checkpoint; returns the epoch it was taken at."""
+        problems = check_config_compatible(state.config, asdict(self.config))
+        if problems:
+            raise CheckpointError(
+                "checkpoint is incompatible with the current config: "
+                + "; ".join(problems)
+            )
+        self._restore_state(state, optimizer, rng)
+        if guard is not None:
+            guard.retries = state.retries
+        return state.epoch
+
     def _restore_state(
         self, state: TrainState, optimizer, rng: np.random.Generator
     ) -> None:
@@ -638,66 +472,34 @@ class RRRETrainer:
 
     def _rollback(
         self,
-        reason: str,
-        value: float,
-        step: int,
-        target: int,
+        diverged: "_EpochDiverged",
         guard: DivergenceGuard,
         last_good: TrainState,
         optimizer,
         rng: np.random.Generator,
-        tracer,
-        metrics_registry,
-        registry,
-        verbose: bool,
+        observer: RunObserver,
     ) -> None:
         """Answer a divergence: restore the anchor and back off the LR.
 
         Raises :class:`repro.resilience.DivergenceError` once the
         guard's retry budget is exhausted.
         """
+        epoch, step, reason, value = diverged.epoch, diverged.step, diverged.reason, diverged.value
         lr_before = optimizer.lr
         if guard.exhausted:
-            guard.record(target, step, reason, value, lr_before, lr_before)
-            if tracer is not None:
-                tracer.event(
-                    "divergence_failure",
-                    epoch=target,
-                    step=step,
-                    reason=reason,
-                    retries=guard.retries,
-                )
-            guard.raise_exhausted(target, reason, value)
-        with _maybe_timer(registry, "fit.rollback"):
+            guard.record(epoch, step, reason, value, lr_before, lr_before)
+            observer.divergence_failure(epoch, step, reason, guard.retries)
+            guard.raise_exhausted(epoch, reason, value)
+        with observer.phase("fit.rollback"):
             self._restore_state(last_good, optimizer, rng)
         # Back off from the rate of the *failed* attempt, not the
         # restored one, so repeated retries keep compounding the decay.
         optimizer.lr = guard.backoff_lr(lr_before)
-        event = guard.record(
-            target, step, reason, value, lr_before, optimizer.lr
-        )
-        if metrics_registry is not None:
-            metrics_registry.counter(
-                "repro_rollbacks_total", "Divergence rollbacks executed"
-            ).labels().inc()
-        if tracer is not None:
-            tracer.event("rollback", retries=guard.retries, **event.to_dict())
-        if verbose:
-            print(
-                f"[resilience] rollback at epoch {target} step {step}: "
-                f"{reason} (value={value:.4g}), lr {lr_before:.2e} -> "
-                f"{optimizer.lr:.2e}, retry {guard.retries}/"
-                f"{guard.policy.max_retries}"
-            )
+        event = guard.record(epoch, step, reason, value, lr_before, optimizer.lr)
+        observer.rollback(event.to_dict(), guard.retries, guard.policy.max_retries)
 
     def _write_checkpoint(
-        self,
-        manager: CheckpointManager,
-        state: TrainState,
-        tracer,
-        metrics_registry,
-        registry,
-        verbose: bool,
+        self, manager: CheckpointManager, state: TrainState, observer: RunObserver
     ) -> None:
         """Persist ``state``; a failed write degrades to a warning.
 
@@ -706,35 +508,14 @@ class RRRETrainer:
         ``repro_checkpoint_failures_total`` counter and a
         ``checkpoint_failed`` trace event instead of killing the run.
         """
-        ckpt_start = time.perf_counter()
+        start = time.perf_counter()
         try:
-            with _maybe_timer(registry, "fit.checkpoint"):
+            with observer.phase("fit.checkpoint"):
                 path = manager.save(state)
         except CheckpointError as exc:
-            if metrics_registry is not None:
-                metrics_registry.counter(
-                    "repro_checkpoint_failures_total",
-                    "Checkpoint writes that failed (training continued)",
-                ).labels().inc()
-            if tracer is not None:
-                tracer.event(
-                    "checkpoint_failed", epoch=state.epoch, error=str(exc)
-                )
-            if verbose:
-                print(f"[resilience] checkpoint write failed: {exc}")
+            observer.checkpoint_failed(state.epoch, exc)
             return
-        seconds = time.perf_counter() - ckpt_start
-        if metrics_registry is not None:
-            metrics_registry.counter(
-                "repro_checkpoints_total", "Checkpoints written"
-            ).labels().inc()
-            metrics_registry.histogram(
-                "repro_checkpoint_seconds", "Wall time per checkpoint write"
-            ).labels().observe(seconds)
-        if tracer is not None:
-            tracer.event(
-                "checkpoint", epoch=state.epoch, path=str(path), seconds=seconds
-            )
+        observer.checkpoint(state.epoch, path, time.perf_counter() - start)
 
     # ------------------------------------------------------------------
     def predict_pairs(
@@ -756,8 +537,7 @@ class RRRETrainer:
             ratings[sl] = out.rating.data
             reliabilities[sl] = out.reliability
         # Ratings live on a bounded scale; clip to the observed range.
-        low, high = getattr(self, "_rating_range", (1.0, 5.0))
-        np.clip(ratings, low, high, out=ratings)
+        np.clip(ratings, *self._rating_range, out=ratings)
         return ratings, reliabilities
 
     def predict_subset(self, subset: ReviewSubset) -> Tuple[np.ndarray, np.ndarray]:
@@ -810,22 +590,7 @@ class RRRETrainer:
 
     def load(self, path, dataset: ReviewDataset, train: ReviewSubset) -> "RRRETrainer":
         """Rebuild derived structures from ``dataset`` and load weights."""
-        cfg = self.config
-        self.dataset = dataset
-        self._rating_range = (float(train.ratings.min()), float(train.ratings.max()))
-        self.table = ReviewTextTable.build(
-            dataset,
-            max_len=cfg.max_len,
-            min_count=cfg.min_word_count,
-            max_vocab=cfg.max_vocab,
-        )
-        self.slots = InputSlots.build(train, s_u=cfg.s_u, s_i=cfg.s_i)
-        self.model = RRRE(
-            cfg,
-            num_users=dataset.num_users,
-            num_items=dataset.num_items,
-            vocab_size=len(self.table.vocab),
-        )
+        self._prepare(dataset, train)
         with np.load(path) as archive:
             self.model.load_state_dict({key: archive[key] for key in archive.files})
         return self

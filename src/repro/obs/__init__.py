@@ -33,6 +33,9 @@ The reproduction's measurement layer, in two tiers:
 * :mod:`repro.obs.watch` — the live terminal renderer behind
   ``python -m repro watch``.
 
+:mod:`repro.obs.run` puts all of it behind one :class:`RunObserver`,
+the single object :meth:`repro.core.RRRETrainer.fit` reports through.
+
 Everything here is opt-in: with no profiler attached, no active metrics
 registry, and no ambient tracer, the hook points reduce to a single
 ``None`` check.  See ``docs/observability.md`` for a guided tour.
@@ -62,6 +65,7 @@ from .report import (
     validate_report,
     write_bench_artifact,
 )
+from .run import RunObserver
 from .timers import GLOBAL_REGISTRY, TimerRegistry, TimerStat, get_registry
 from .trace import (
     Span,
@@ -87,6 +91,7 @@ __all__ = [
     "MetricsRegistry",
     "ModuleProfiler",
     "NumericsError",
+    "RunObserver",
     "RunReport",
     "SCHEMA_VERSION",
     "Span",

@@ -108,10 +108,14 @@ class Retriever:
             ratings[seen] = -np.inf
         pool = min(max(self.candidate_pool, k), ratings.shape[0])
         with maybe_span("serve.rerank", kind="serve", user=user, pool=pool):
-            # Dot-product retrieval: argpartition pulls the rating-top
-            # `pool` candidates in O(num_items), then the shared core
-            # applies the exact two-stage ordering inside the pool.
-            candidates = np.argpartition(-ratings, pool - 1)[:pool]
+            # Dot-product retrieval: a partition finds the pool's boundary
+            # rating in O(num_items); everything above it joins, and ties
+            # at it are filled lowest id first, the pool offline ranking
+            # picks.  The shared core then orders the pool exactly.
+            boundary = -np.partition(-ratings, pool - 1)[pool - 1]
+            above = np.flatnonzero(ratings > boundary)
+            tied = np.flatnonzero(ratings == boundary)[: pool - len(above)]
+            candidates = np.concatenate([above, tied])
             candidates = np.sort(candidates[np.isfinite(ratings[candidates])])
             if len(candidates) == 0:
                 return []  # the user has seen every item

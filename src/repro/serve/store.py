@@ -582,7 +582,7 @@ def export_store(
         + 0.5 * ((q_i**2).sum(axis=1) - (z_i**2) @ (v_i**2).sum(axis=1))
     )
 
-    low, high = getattr(trainer, "_rating_range", (1.0, 5.0))
+    low, high = trainer._rating_range
 
     # Per-review predictions for explanation payloads: the model's
     # (rating, reliability) for each review's (author, item) pair.

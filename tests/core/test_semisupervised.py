@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro.core.trainer as trainer_module
 from repro.core import SemiSupervisedRRRETrainer, fast_config
 from repro.data import load_dataset, train_test_split
 
@@ -99,3 +100,26 @@ class TestTraining:
         trainer.fit(dataset, train)
         assert len(trainer.history) == 4
         assert [r.epoch for r in trainer.history] == [1, 2, 3, 4]
+        assert all(r.grad_norm > 0 for r in trainer.history)
+
+    def test_pretrain_words_initialises_embeddings(self, data, monkeypatch):
+        dataset, train, _ = data
+        calls = []
+        pretrain = trainer_module.train_skipgram
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return pretrain(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_module, "train_skipgram", spy)
+        fits = {
+            flag: SemiSupervisedRRRETrainer(
+                fast_config(epochs=1, seed=0, pretrain_words=flag), rounds=1
+            ).fit(dataset, train)
+            for flag in (False, True)
+        }
+        assert len(calls) == 1 and calls[0]["seed"] == 0
+        assert not np.array_equal(
+            fits[True].model.word_embedding.weight.data,
+            fits[False].model.word_embedding.weight.data,
+        )

@@ -1,7 +1,9 @@
 """End-to-end telemetry: trainer ``telemetry=`` and the train CLI."""
 
 import json
+from dataclasses import asdict
 
+import numpy as np
 import pytest
 
 from repro.__main__ import main
@@ -79,16 +81,20 @@ class TestTrainerTelemetry:
         assert trainer.report is None
         assert nn.Module._active_profiler is None
 
-    def test_history_unaffected_by_telemetry(self, split):
-        """Telemetry must not change training numerics."""
-        dataset, train, _ = split
-        plain = RRRETrainer(fast_config(epochs=1, seed=0)).fit(dataset, train)
-        hooked = RRRETrainer(fast_config(epochs=1, seed=0)).fit(
-            dataset, train, telemetry=True
-        )
-        assert hooked.history[0].train_loss == pytest.approx(
-            plain.history[0].train_loss
-        )
+    def test_history_unaffected_by_telemetry(self, split, telemetry_trainer):
+        """Telemetry must not change training numerics: bitwise, not approx."""
+        dataset, train, test = split
+        plain = RRRETrainer(fast_config(epochs=2, seed=0)).fit(dataset, train, test)
+        hooked = telemetry_trainer
+        plain_state, hooked_state = plain.model.state_dict(), hooked.model.state_dict()
+        assert sorted(plain_state) == sorted(hooked_state)
+        for key in plain_state:
+            np.testing.assert_array_equal(hooked_state[key], plain_state[key], err_msg=key)
+        assert len(hooked.history) == len(plain.history) == 2
+        for ours, theirs in zip(hooked.history, plain.history):
+            ours, theirs = asdict(ours), asdict(theirs)
+            ours.pop("seconds"), theirs.pop("seconds")
+            assert ours == theirs
 
     def test_report_carries_health_and_metrics(self, telemetry_trainer):
         report = telemetry_trainer.report

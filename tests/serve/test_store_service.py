@@ -4,7 +4,7 @@ export parity, offline/online agreement, warm-path guarantees."""
 import numpy as np
 import pytest
 
-from repro.core import recommend_items
+from repro.core import rank_by_rating_then_reliability, recommend_items
 from repro.obs import Tracer, use_tracer
 from repro.serve import (
     EmbeddingStore,
@@ -92,6 +92,45 @@ class TestOfflineOnlineParity:
                 assert got["predicted_reliability"] == pytest.approx(
                     want.predicted_reliability, rel=1e-9
                 )
+
+
+class _TiedStore:
+    """Store stand-in whose score rows are mostly tied at the rating floor."""
+
+    def __init__(self, ratings, reliabilities, seen):
+        self.ratings = ratings
+        self.reliabilities = reliabilities
+        self.seen = seen
+        self.item_popularity = np.zeros(len(ratings), dtype=np.int64)
+        self.item_names = np.array([f"item{i}" for i in range(len(ratings))])
+
+    def score_users(self, user_ids):
+        rows = len(user_ids)
+        return np.tile(self.ratings, (rows, 1)), np.tile(self.reliabilities, (rows, 1))
+
+    def seen_items(self, user_id):
+        return self.seen
+
+
+class TestCandidatePoolTies:
+    def test_tied_pool_boundary_keeps_lowest_ids(self):
+        # Most items sit at the clip floor, a few above it at high ids:
+        # the 50-candidate pool boundary falls inside the floor tie, and
+        # offline ranking fills it with the lowest unseen ids.
+        num_items = 2000
+        rng = np.random.default_rng(11)
+        ratings = np.ones(num_items)
+        ratings[[1999, 1800, 1500, 1200, 900]] = [4.5, 4.0, 3.5, 3.0, 2.0]
+        reliabilities = rng.random(num_items)
+        seen = np.array([0, 3, 7, 42, 1500], dtype=np.int64)
+        retriever = Retriever(_TiedStore(ratings, reliabilities, seen), candidate_pool=50)
+        (online,) = retriever.recommend_batch([(0, 10, 0)])
+
+        unseen = np.setdiff1d(np.arange(num_items), seen)
+        order = rank_by_rating_then_reliability(
+            ratings[unseen], reliabilities[unseen], 50
+        )[:10]
+        assert [r["item_id"] for r in online] == unseen[order].tolist()
 
 
 class TestService:
