@@ -314,13 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-batch",
         type=int,
         default=16,
-        help="for 'serve': micro-batch flush size",
-    )
-    parser.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=2.0,
-        help="for 'serve': micro-batch flush deadline in milliseconds",
+        help="for 'serve': most requests scored in one micro-batch",
     )
     parser.add_argument(
         "--cache-size",
@@ -716,7 +710,6 @@ def run_serve(args) -> int:
     config = ServeConfig(
         top_k=args.top_k,
         max_batch_size=args.max_batch,
-        max_wait_ms=args.max_wait_ms,
         cache_size=args.cache_size,
         cache_ttl=args.cache_ttl,
         deadline_ms=args.deadline_ms,

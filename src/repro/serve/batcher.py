@@ -2,34 +2,29 @@
 
 Scoring one user against the item table is a dot product; scoring
 sixteen is one matmul — nearly the same wall time.  The
-:class:`MicroBatcher` exploits that: concurrent callers ``submit()``
-work items and block on a future; a single worker thread drains the
-queue and flushes a batch to the handler when either
+:class:`MicroBatcher` exploits that without a timer: concurrent callers
+``submit()`` work items and block on a future; a single worker thread
+takes the first queued item as soon as it arrives, adds whatever else is
+already queued (up to ``max_batch_size``), and hands the batch to the
+handler at once.  A lone request is scored immediately; under load, the
+items that queue while one batch is scored form the next, so batches
+grow exactly when there is contention to amortize.
 
-* **size** — ``max_batch_size`` items are waiting,
-* **deadline** — ``max_wait`` seconds passed since the *oldest* queued
-  item arrived (bounds added latency for lone requests), or
-* **budget** — a queued item's request :class:`~repro.serve.Deadline`
-  is about to expire (minus ``deadline_headroom`` reserved for the
-  scoring pass itself), so a tight per-request budget forces an early
-  flush instead of waiting out ``max_wait``.
-
-Items whose deadline has already fully expired at flush time are not
-scored at all: their futures fail with
+Items whose request :class:`~repro.serve.Deadline` has expired by
+dispatch time are not scored at all: their futures fail with
 :class:`~repro.serve.DeadlineExceeded` and the handler only sees the
 live ones — a dead request must not consume scoring capacity.
 
 The handler receives the item list and must return one result per item,
 in order; results (or the handler's exception) are routed back through
-each caller's future.  Flush reasons and batch sizes are observable via
-a per-flush callback so the service can export them as metrics.
+each caller's future.  Dispatch reasons and batch sizes are observable
+via a per-flush callback so the service can export them as metrics.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-import time
 from concurrent.futures import Future
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -42,7 +37,7 @@ _STOP = object()
 
 
 class MicroBatcher:
-    """Queue + worker thread flushing on batch size, deadline, or budget.
+    """Queue + worker thread scoring whatever is queued, as soon as it is.
 
     Parameters
     ----------
@@ -51,43 +46,25 @@ class MicroBatcher:
         Runs on the worker thread; an exception fails every future of
         that batch (the batcher itself keeps running).
     max_batch_size:
-        Flush as soon as this many items are queued.
-    max_wait:
-        Flush at most this many seconds after the first item of a batch
-        arrived, even if the batch is smaller.
-    deadline_headroom:
-        Seconds reserved for the scoring pass when flushing on a request
-        budget: a batch flushes once any queued item has less than this
-        much budget left (``reason="budget"``).  Must be positive —
-        with no headroom a budget-triggered flush would arrive exactly
-        at expiry and reject the very item that asked for it.
+        Most items handed to one handler call.
     on_flush:
         Optional ``on_flush(size, reason)`` observer, ``reason`` in
-        ``{"size", "deadline", "budget", "close"}`` — the metrics hook.
-        ``size`` counts the items actually handed to the handler
-        (expired ones are failed, not scored).
+        ``{"size", "drained", "close"}``: the batch reached
+        ``max_batch_size``, the queue ran empty, or the batcher is
+        closing — the metrics hook.  ``size`` counts the items actually
+        handed to the handler (expired ones are failed, not scored).
     """
 
     def __init__(
         self,
         handler: Callable[[Sequence[Any]], Sequence[Any]],
         max_batch_size: int = 16,
-        max_wait: float = 0.005,
-        deadline_headroom: float = 0.005,
         on_flush: Optional[Callable[[int, str], None]] = None,
     ) -> None:
         if max_batch_size < 1:
             raise ValueError(f"max_batch_size must be >= 1, got {max_batch_size}")
-        if max_wait < 0:
-            raise ValueError(f"max_wait must be >= 0, got {max_wait}")
-        if deadline_headroom <= 0:
-            raise ValueError(
-                f"deadline_headroom must be positive, got {deadline_headroom}"
-            )
         self.handler = handler
         self.max_batch_size = max_batch_size
-        self.max_wait = max_wait
-        self.deadline_headroom = deadline_headroom
         self.on_flush = on_flush
         self._queue: "queue.Queue" = queue.Queue()
         self._closed = threading.Event()
@@ -100,10 +77,9 @@ class MicroBatcher:
     def submit(self, item: Any, deadline: Optional[Deadline] = None) -> "Future":
         """Enqueue one item; the future resolves to its handler result.
 
-        ``deadline`` (optional) joins the flush calculus: the batch
-        flushes early enough to score this item within its budget, and
-        if the budget is already gone at flush time the future fails
-        with :class:`DeadlineExceeded` instead of being scored.
+        If ``deadline`` (optional) has expired by the time the item's
+        batch is dispatched, the future fails with
+        :class:`DeadlineExceeded` instead of being scored.
         """
         if self._closed.is_set():
             raise RuntimeError("batcher is closed")
@@ -126,72 +102,36 @@ class MicroBatcher:
         self.close()
 
     # ------------------------------------------------------------------
-    def _budget_remaining(self, batch: List[Tuple]) -> Optional[float]:
-        """Tightest per-request budget in the batch, headroom deducted."""
-        tightest: Optional[float] = None
-        for _, _, deadline in batch:
-            if deadline is None:
-                continue
-            left = deadline.remaining() - self.deadline_headroom
-            if tightest is None or left < tightest:
-                tightest = left
-        return tightest
-
     def _run(self) -> None:
         while True:
-            first = self._queue.get()
-            if first is _STOP:
-                self._flush_remaining()
-                return
-            batch: List[Tuple] = [first]
-            flush_by = time.monotonic() + self.max_wait
-            reason = "deadline"
-            while len(batch) < self.max_batch_size:
-                remaining = flush_by - time.monotonic()
-                budget = self._budget_remaining(batch)
-                if budget is not None and budget < remaining:
-                    remaining = budget
-                    if remaining <= 0:
-                        reason = "budget"
-                        break
-                if remaining <= 0:
-                    break
+            batch = [self._queue.get()]
+            while batch[-1] is not _STOP and len(batch) < self.max_batch_size:
                 try:
-                    entry = self._queue.get(timeout=remaining)
+                    batch.append(self._queue.get_nowait())
                 except queue.Empty:
-                    budget = self._budget_remaining(batch)
-                    if budget is not None and budget <= 0 and (
-                        flush_by - time.monotonic() > 0
-                    ):
-                        reason = "budget"
                     break
-                if entry is _STOP:
-                    self._dispatch(batch, "close")
-                    self._flush_remaining()
-                    return
-                batch.append(entry)
-            if len(batch) >= self.max_batch_size:
-                reason = "size"
+            if batch[-1] is _STOP:
+                self._dispatch(batch[:-1] + self._drain(), "close")
+                return
+            reason = "size" if len(batch) == self.max_batch_size else "drained"
             self._dispatch(batch, reason)
 
-    def _flush_remaining(self) -> None:
-        """Serve whatever is still queued at close time (reason="close")."""
+    def _drain(self) -> List[Tuple]:
+        """Everything still queued at close time."""
         leftovers: List[Tuple] = []
         while True:
             try:
                 entry = self._queue.get_nowait()
             except queue.Empty:
-                break
+                return leftovers
             if entry is not _STOP:
                 leftovers.append(entry)
-        if leftovers:
-            self._dispatch(leftovers, "close")
 
     def _dispatch(self, batch: List[Tuple], reason: str) -> None:
         live: List[Tuple] = []
         for item, future, deadline in batch:
             if deadline is not None and deadline.expired():
-                # Dead on arrival at the flush: fail fast, don't score.
+                # Dead on arrival at dispatch: fail fast, don't score.
                 if not future.done():
                     future.set_exception(
                         DeadlineExceeded("batch flush", deadline.budget)

@@ -63,6 +63,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: RecommendationServer
     protocol_version = "HTTP/1.1"
+    # TCP_NODELAY: a response is one write (see _send), so there is
+    # nothing for Nagle's algorithm to coalesce, only ACKs to wait for.
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 — BaseHTTPRequestHandler API
@@ -87,11 +90,7 @@ class _Handler(BaseHTTPRequestHandler):
                 self._send_json(200, service.health())
             elif parsed.path == "/metrics":
                 body = service.registry.to_prometheus().encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "text/plain; version=0.0.4")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
+                self._send(200, body, "text/plain; version=0.0.4")
             else:
                 self._send_json(404, {"error": f"unknown path {parsed.path!r}"})
         except BaseException as exc:
@@ -176,14 +175,30 @@ class _Handler(BaseHTTPRequestHandler):
     def _send_json(
         self, status: int, payload: dict, headers: Optional[dict] = None
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        self._send(status, json.dumps(payload).encode("utf-8"), headers=headers)
+
+    def _send(
+        self,
+        status: int,
+        body: bytes,
+        content_type: str = "application/json",
+        headers: Optional[dict] = None,
+    ) -> None:
+        """Send status line, headers and body with one ``wfile.write``.
+
+        ``end_headers()`` would write the headers as a segment of their
+        own, and the body's segment then waited for the client's delayed
+        ACK (~40 ms on every keep-alive response).  An HTTP/0.9 request
+        buffers no headers and gets the bare body.
+        """
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        head = b"".join(getattr(self, "_headers_buffer", ()))
+        self._headers_buffer = []
+        self.wfile.write(head + b"\r\n" + body if head else body)
 
     def log_message(self, fmt: str, *args) -> None:
         """Silence per-request stderr chatter; metrics carry the signal."""

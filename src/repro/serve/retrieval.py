@@ -64,6 +64,9 @@ class Retriever:
         self._popular = np.argsort(
             -np.asarray(store.item_popularity), kind="stable"
         )
+        # item -> its citations for k = explain_pool (see explain); a
+        # store reload builds a new Retriever, so it never outlives its store.
+        self._citations: Dict[int, List[Dict]] = {}
 
     # ------------------------------------------------------------------
     def recommend_batch(
@@ -146,8 +149,25 @@ class Retriever:
 
         Mirrors ``repro.core.explain_item``: rating-sorted candidate
         pool of the item's reviews, reliability re-rank, reviews under
-        ``min_reliability`` filtered out.
+        ``min_reliability`` filtered out.  For ``k <= explain_pool`` the
+        pool does not depend on ``k``, so the answer is the first ``k``
+        of the item's memoised ``explain_pool`` list; the citation dicts
+        are shared between responses and must not be mutated.
         """
+        if k < 1:
+            return []
+        if k > self.explain_pool:
+            return self._cite(item_id, k)
+        cited = self._citations.get(item_id)
+        if cited is None:
+            cited = self._cite(item_id, self.explain_pool)
+            # One assignment of a finished list: a concurrent reader sees
+            # no entry (and computes its own equal copy) or all of it.
+            self._citations[item_id] = cited
+        return cited[:k]
+
+    def _cite(self, item_id: int, k: int) -> List[Dict]:
+        """The ``k`` top reliable reviews of one item, computed afresh."""
         store = self.store
         review_idx = store.item_reviews(item_id)
         if len(review_idx) == 0:

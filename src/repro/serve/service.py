@@ -10,8 +10,8 @@ the HTTP API (and directly usable in-process).  One request flows:
 2. **cache** — an LRU+TTL lookup keyed on ``(user, k, explain_k)``;
    a warm hit returns immediately, touching no scoring code at all;
 3. **batcher** — on a miss the request joins the micro-batch queue and
-   blocks until its flush (size-, deadline-, or budget-triggered),
-   never longer than its remaining deadline budget;
+   is scored as soon as the worker is free, together with whatever else
+   queued meanwhile; it waits no longer than its share of the deadline;
 4. **retriever** — the flushed batch is scored in one fused pass over
    the embedding store, re-ranked, and explanations attached.
 
@@ -86,8 +86,8 @@ class ServeConfig:
     explain_k / explain_pool / min_reliability:
         Explanation payload: reviews served per item, candidate pool per
         item, and the reliability floor below which a review is filtered.
-    max_batch_size / max_wait_ms:
-        Micro-batcher flush triggers (size, deadline).
+    max_batch_size:
+        Most requests the micro-batcher scores in one fused pass.
     cache_size / cache_ttl:
         LRU entry budget and seconds-to-live of cached results;
         ``cache_size=0`` disables caching.
@@ -118,7 +118,6 @@ class ServeConfig:
     explain_pool: int = 5
     min_reliability: float = 0.5
     max_batch_size: int = 16
-    max_wait_ms: float = 2.0
     cache_size: int = 1024
     cache_ttl: float = 30.0
     request_timeout: float = 10.0
@@ -187,7 +186,6 @@ class RecommendationService:
         self.batcher = MicroBatcher(
             self._score_batch,
             max_batch_size=self.config.max_batch_size,
-            max_wait=self.config.max_wait_ms / 1000.0,
             on_flush=self._record_flush,
         )
         self._started = clock()
@@ -417,8 +415,9 @@ class RecommendationService:
             request, deadline=Deadline(budget, clock=self._clock)
         )
         try:
-            # Small grace on top of the budget: the batcher itself flushes
-            # by budget, so the future normally resolves before this fires.
+            # Small grace on top of the budget: the batcher scores the
+            # item as soon as its worker is free, or fails it unscored once
+            # the budget is gone, so the future normally resolves first.
             return future.result(timeout=budget + 0.05)
         except _FutureTimeout:
             future.cancel()
@@ -475,8 +474,14 @@ class RecommendationService:
         raise ServiceUnavailable(f"scoring path down ({kind}: {exc})") from exc
 
     def explain(self, item_id: int, k: Optional[int] = None) -> Dict:
-        """Explanation payload for one item (no user context needed)."""
+        """Explanation payload for one item (no user context needed).
+
+        ``k=0`` asks for no citations; a negative ``k`` is a
+        ``ValueError`` (HTTP 400).
+        """
         k = self.config.explain_k if k is None else int(k)
+        if k < 0:
+            raise ValueError(f"k must be >= 0, got {k}")
         start = time.perf_counter()
         item_id = int(item_id)
         store, retriever = self._engine

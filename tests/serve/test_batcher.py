@@ -1,4 +1,4 @@
-"""MicroBatcher: flush triggers, result routing, failure semantics."""
+"""MicroBatcher: batch formation, result routing, failure semantics."""
 
 import threading
 import time
@@ -15,9 +15,11 @@ class Recorder:
         self.batches = []
         self.flushes = []
         self.gate = gate
+        self.busy = threading.Event()  # set once the handler first runs
         self.lock = threading.Lock()
 
     def __call__(self, items):
+        self.busy.set()
         if self.gate is not None:
             self.gate.wait(timeout=5.0)
         with self.lock:
@@ -33,10 +35,12 @@ class TestMicroBatcher:
         gate = threading.Event()
         handler = Recorder(gate=gate)
         with MicroBatcher(
-            handler, max_batch_size=4, max_wait=30.0, on_flush=handler.on_flush
+            handler, max_batch_size=4, on_flush=handler.on_flush
         ) as batcher:
-            # The worker blocks on the gate, so all four submits queue up
-            # and the flush trigger must be size, not the 30 s deadline.
+            # A blocker holds the worker on the gate, so the four submits
+            # after it queue up and must be flushed together, by size.
+            batcher.submit(-1)
+            assert handler.busy.wait(timeout=5.0)
             futures = [batcher.submit(i) for i in range(4)]
             gate.set()
             assert [f.result(timeout=5.0) for f in futures] == [0, 2, 4, 6]
@@ -44,19 +48,26 @@ class TestMicroBatcher:
         assert 4 in sizes
         assert any(reason == "size" for size, reason in handler.flushes if size == 4)
 
-    def test_flush_on_deadline(self):
-        handler = Recorder()
+    def test_items_queued_while_busy_form_one_batch(self):
+        gate = threading.Event()
+        handler = Recorder(gate=gate)
         with MicroBatcher(
-            handler, max_batch_size=64, max_wait=0.01, on_flush=handler.on_flush
+            handler, max_batch_size=8, on_flush=handler.on_flush
         ) as batcher:
-            future = batcher.submit(21)
-            assert future.result(timeout=5.0) == 42
-        assert handler.batches == [[21]]
-        assert handler.flushes[0] == (1, "deadline")
+            first = batcher.submit(0)
+            # The worker takes [0] at once and blocks on the gate; the
+            # submits made meanwhile queue up and form the next batch.
+            assert handler.busy.wait(timeout=5.0)
+            later = [batcher.submit(i) for i in (1, 2, 3)]
+            gate.set()
+            assert first.result(timeout=5.0) == 0
+            assert [f.result(timeout=5.0) for f in later] == [2, 4, 6]
+        assert handler.batches == [[0], [1, 2, 3]]
+        assert handler.flushes == [(1, "drained"), (3, "drained")]
 
     def test_zero_wait_serves_singletons(self):
         handler = Recorder()
-        with MicroBatcher(handler, max_batch_size=8, max_wait=0.0) as batcher:
+        with MicroBatcher(handler, max_batch_size=8) as batcher:
             assert batcher.submit(1).result(timeout=5.0) == 2
             assert batcher.submit(2).result(timeout=5.0) == 4
 
@@ -69,7 +80,7 @@ class TestMicroBatcher:
                 raise RuntimeError("boom")
             return list(items)
 
-        with MicroBatcher(handler, max_batch_size=1, max_wait=0.0) as batcher:
+        with MicroBatcher(handler, max_batch_size=1) as batcher:
             bad = batcher.submit(13)
             with pytest.raises(RuntimeError, match="boom"):
                 bad.result(timeout=5.0)
@@ -77,8 +88,19 @@ class TestMicroBatcher:
             assert batcher.submit(7).result(timeout=5.0) == 7
 
     def test_result_count_mismatch_is_an_error(self):
-        with MicroBatcher(lambda items: [1], max_batch_size=4, max_wait=30.0) as b:
+        gate, busy = threading.Event(), threading.Event()
+
+        def handler(items):
+            busy.set()
+            gate.wait(timeout=5.0)
+            return [1]
+
+        with MicroBatcher(handler, max_batch_size=4) as b:
+            # A one-item blocker holds the worker while all four queue up.
+            b.submit(-1)
+            assert busy.wait(timeout=5.0)
             futures = [b.submit(i) for i in range(4)]
+            gate.set()
             with pytest.raises(RuntimeError, match="4 items"):
                 futures[0].result(timeout=5.0)
 
@@ -86,7 +108,7 @@ class TestMicroBatcher:
         gate = threading.Event()
         handler = Recorder(gate=gate)
         batcher = MicroBatcher(
-            handler, max_batch_size=2, max_wait=30.0, on_flush=handler.on_flush
+            handler, max_batch_size=2, on_flush=handler.on_flush
         )
         futures = [batcher.submit(i) for i in range(5)]
 
@@ -104,14 +126,12 @@ class TestMicroBatcher:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             MicroBatcher(lambda items: items, max_batch_size=0)
-        with pytest.raises(ValueError):
-            MicroBatcher(lambda items: items, max_wait=-1.0)
 
     def test_concurrent_submitters_all_get_results(self):
         handler = Recorder()
         results = {}
 
-        with MicroBatcher(handler, max_batch_size=8, max_wait=0.002) as batcher:
+        with MicroBatcher(handler, max_batch_size=8) as batcher:
 
             def client(i):
                 results[i] = batcher.submit(i).result(timeout=5.0)

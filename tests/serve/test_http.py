@@ -2,7 +2,9 @@
 
 import http.client
 import json
+import statistics
 import threading
+import time
 
 import pytest
 
@@ -115,3 +117,41 @@ class TestHTTPAPI:
         ):
             assert family in text
         assert "# TYPE repro_serve_requests_total counter" in text
+
+
+class TestKeepAlive:
+    def test_keep_alive_round_trips_do_not_stall(self, live_server):
+        # A response written as headers and body in two segments waits
+        # ~40 ms on each keep-alive round trip for the client's delayed
+        # ACK (Nagle's algorithm holds the second segment).
+        host, port = live_server.server_address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        paths = {
+            "/healthz": lambda i: "/healthz",
+            "/recommend": lambda i: f"/recommend?user={i % 5}&k=3",
+            "/metrics": lambda i: "/metrics",
+            "/nope": lambda i: "/nope",
+        }
+        medians = {}
+        try:
+            for name, path in paths.items():
+                round_trips = []
+                for i in range(12):
+                    start = time.perf_counter()
+                    conn.request("GET", path(i))
+                    response = conn.getresponse()
+                    response.read()
+                    round_trips.append(time.perf_counter() - start)
+                    assert response.status == (404 if name == "/nope" else 200)
+                medians[name] = statistics.median(round_trips) * 1e3
+        finally:
+            conn.close()
+        assert all(ms < 10.0 for ms in medians.values()), medians
+
+    def test_explain_k_bounds(self, live_server):
+        status, payload = get_json(live_server, "/explain?item=0&k=0")
+        assert status == 200
+        assert payload["explanations"] == []
+        status, payload = get_json(live_server, "/explain?item=0&k=-1")
+        assert status == 400
+        assert "k must be >= 0" in payload["error"]

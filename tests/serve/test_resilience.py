@@ -176,7 +176,6 @@ def make_service(store, chaos=None, **overrides):
         explain_k=1,
         cache_size=64,
         cache_ttl=0.5,
-        max_wait_ms=1.0,
         deadline_ms=500.0,
         breaker_failures=2,
         breaker_reset_s=0.2,
@@ -599,7 +598,7 @@ class TestHTTPResilience:
     def test_close_drains_inflight_batches(self, store):
         # Shutdown order is service-first: queued futures resolve during
         # the batcher drain instead of erroring when the socket dies.
-        service = make_service(store, max_wait_ms=50.0, cache_size=0)
+        service = make_service(store, cache_size=0)
         futures = [
             service.batcher.submit((user, 3, 0)) for user in range(4)
         ]
@@ -612,20 +611,21 @@ class TestHTTPResilience:
 # Deadline-aware batcher behavior
 # ----------------------------------------------------------------------
 class TestBatcherDeadlines:
-    def test_budget_flushes_before_max_wait(self, store):
+    def test_lone_item_dispatches_at_once(self):
         from repro.serve import MicroBatcher
 
         flushes = []
         batcher = MicroBatcher(
             lambda items: items,
             max_batch_size=64,
-            max_wait=5.0,  # the deadline trigger alone would take 5s
             on_flush=lambda size, reason: flushes.append((size, reason)),
         )
         try:
-            future = batcher.submit("x", deadline=Deadline(0.05))
+            # The deadline's clock never advances, so no budget can force
+            # the flush: the item goes out because the queue ran empty.
+            future = batcher.submit("x", deadline=Deadline(0.05, clock=FakeClock()))
             assert future.result(timeout=1.0) == "x"
-            assert flushes and flushes[0][1] == "budget"
+            assert flushes == [(1, "drained")]
         finally:
             batcher.close()
 
@@ -640,7 +640,7 @@ class TestBatcherDeadlines:
             scored.extend(items)
             return items
 
-        batcher = MicroBatcher(handler, max_batch_size=1, max_wait=0.0)
+        batcher = MicroBatcher(handler, max_batch_size=1)
         try:
             # Occupy the worker so the expired entry waits for a flush.
             blocker = batcher.submit("blocker")
@@ -659,7 +659,7 @@ class TestBatcherDeadlines:
     def test_mixed_deadlines_all_served_when_budget_allows(self):
         from repro.serve import MicroBatcher
 
-        batcher = MicroBatcher(lambda items: items, max_batch_size=8, max_wait=0.02)
+        batcher = MicroBatcher(lambda items: items, max_batch_size=8)
         try:
             with ThreadPoolExecutor(max_workers=4) as pool:
                 futures = [

@@ -1,6 +1,9 @@
 """Embedding store + service semantics against a real trained model:
 export parity, offline/online agreement, warm-path guarantees."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -21,6 +24,47 @@ class FakeClock:
 
     def __call__(self):
         return self.now
+
+
+def cited_item(service):
+    """An item with at least one citation, so k=0/k<0 answers are telling."""
+    for item in range(service.store.num_items):
+        if service.explain(item, 1)["explanations"]:
+            return item
+    pytest.skip("no item of the test store has a citation")
+
+
+def reference_explain(store, item_id, k, explain_pool, min_reliability):
+    """``Retriever.explain`` as computed before citations were memoised."""
+    review_idx = store.item_reviews(item_id)
+    if len(review_idx) == 0:
+        return []
+    pool = min(max(explain_pool, k), len(review_idx))
+    order = rank_by_rating_then_reliability(
+        np.asarray(store.review_pred_rating[review_idx]),
+        np.asarray(store.review_pred_reliability[review_idx]),
+        pool,
+    )
+    payload = []
+    for pos in order:
+        reliability = float(store.review_pred_reliability[review_idx[pos]])
+        if reliability < min_reliability:
+            continue
+        idx = int(review_idx[pos])
+        payload.append(
+            {
+                "review_index": idx,
+                "user_id": int(store.review_users[idx]),
+                "user_name": str(store.user_names[store.review_users[idx]]),
+                "text": str(store.review_texts[idx]),
+                "predicted_rating": float(store.review_pred_rating[idx]),
+                "predicted_reliability": reliability,
+                "actual_rating": float(store.review_ratings[idx]),
+            }
+        )
+        if len(payload) >= k:
+            break
+    return payload
 
 
 def scored_pairs_total(service):
@@ -236,6 +280,17 @@ class TestService:
             with pytest.raises(ValueError):
                 service.recommend(0, k=0)
 
+    def test_explain_k_zero_cites_nothing(self, store):
+        with RecommendationService(store) as service:
+            item = cited_item(service)
+            assert service.explain(item, 0)["explanations"] == []
+
+    def test_explain_rejects_negative_k(self, store):
+        with RecommendationService(store) as service:
+            item = cited_item(service)
+            with pytest.raises(ValueError, match="k must be >= 0"):
+                service.explain(item, -1)
+
     def test_health_payload(self, store):
         with RecommendationService(store) as service:
             service.recommend(0)
@@ -244,3 +299,62 @@ class TestService:
         assert health["users"] == store.num_users
         assert health["items"] == store.num_items
         assert health["cache"]["misses"] >= 1
+
+
+class TestSharedCitations:
+    @pytest.mark.parametrize("min_reliability", [0.0, 0.5])
+    def test_memoised_citations_match_fresh_computation(self, store, min_reliability):
+        retriever = Retriever(store, explain_pool=5, min_reliability=min_reliability)
+        for item in range(store.num_items):
+            # k beyond the pool is computed afresh; every k within it is a
+            # prefix of the item's one memoised list.
+            for k in (*range(1, 6), 8):
+                assert retriever.explain(item, k) == reference_explain(
+                    store, item, k, 5, min_reliability
+                ), (item, k)
+
+    def test_concurrent_first_calls_agree(self, store):
+        # The batcher worker and HTTP threads share one memo; racing first
+        # calls may each build an item's list, but every answer is whole.
+        retriever = Retriever(store, min_reliability=0.0)
+        items = range(store.num_items)
+        want = {item: reference_explain(store, item, 3, 5, 0.0) for item in items}
+        wrong = []
+
+        def worker():
+            for item in items:
+                if retriever.explain(item, 3) != want[item]:
+                    wrong.append(item)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+
+    def test_reload_serves_the_new_stores_citations(self, store, tmp_path):
+        root = tmp_path / "stores"
+        EmbeddingStore(dict(store.arrays), dict(store.meta)).save_versioned(root)
+        # Same shapes and scores, different review text: only a stale
+        # memo could still cite the old wording after the swap.
+        arrays = dict(store.arrays)
+        arrays["review_texts"] = np.array(
+            ["v2 " + str(text) for text in store.review_texts]
+        )
+        with RecommendationService(
+            root, ServeConfig(min_reliability=0.0)
+        ) as service:
+            item = cited_item(service)
+            before = service.explain(item, 2)["explanations"]
+            EmbeddingStore(arrays, dict(store.meta)).save_versioned(root)
+            service.reload_store()
+            after = service.explain(item, 2)["explanations"]
+            assert after == reference_explain(service.store, item, 2, 5, 0.0)
+        assert [e["text"] for e in after] == ["v2 " + e["text"] for e in before]
