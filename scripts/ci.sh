@@ -31,10 +31,12 @@
 #      a corrupt store version offered to hot-reload must be rejected
 #      with the old store still serving (see docs/serving_resilience.md).
 #   8. perfbench smoke — a 2-second traced train-yelp run must exit 0
-#      and count training steps (core.steps > 0 in its final JSON line),
-#      and a 2-second serve-http run (seed 5) must exit 0.  The repository
-#      benchmark (perfbench/, BENCHMARK.json) wraps trainer and serving
-#      entry points by name; a refactor that moves one breaks here.
+#      and attribute time to training, offline inference and export
+#      (core.steps, core.predict_pairs and serve.store.export_s all > 0
+#      in its final JSON line), and a 2-second serve-http run (seed 5)
+#      must exit 0.  The repository benchmark (perfbench/, BENCHMARK.json)
+#      wraps trainer and serving entry points by name; a refactor that
+#      moves one, or routes inference around it, breaks here.
 #   9. perf-regression gate — scripts/check_bench.py diffs the fresh
 #      benchmarks/out/BENCH_*.json against the copies committed at HEAD
 #      and fails on >1.5x latency / <0.67x throughput; artifacts the
@@ -282,8 +284,11 @@ python3 perfbench/run.py --workload train-yelp --seed 1 --seconds 2 --trace 1 \
     > "$SMOKE_DIR/perfbench-train.log"
 tail -n 1 "$SMOKE_DIR/perfbench-train.log" | python -c '
 import json, sys
-steps = json.loads(sys.stdin.read())["metrics"]["core.steps"]["value"]
-assert steps > 0, f"traced train-yelp counted no training steps: {steps}"
+metrics = json.loads(sys.stdin.read())["metrics"]
+for name in ("core.steps", "core.predict_pairs", "serve.store.export_s"):
+    value = metrics[name]["value"]
+    assert value > 0, f"traced train-yelp attributed nothing to {name}: {value}"
+steps = metrics["core.steps"]["value"]
 print(f"perfbench train-yelp OK: {steps} traced training steps")
 '
 # 2 s give ~2000 requests, far more than the 10 samples beyond p95 the

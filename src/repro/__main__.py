@@ -671,7 +671,7 @@ def run_export(
     """Fit RRRE and export the serving embedding store to ``out``.
 
     The export is verified against the live model (store scores must
-    match ``predict_pairs``) before anything is written; the resulting
+    match the pairwise model forward) before anything is written; the resulting
     directory is what ``python -m repro serve --store DIR`` loads.
     ``versioned=True`` publishes into ``out`` as a versioned root
     (``vNNNN/`` + SHA-256 manifest + ``CURRENT`` pointer) — the layout

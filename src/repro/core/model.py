@@ -45,18 +45,6 @@ class RRREOutput:
         probs /= probs.sum(axis=1, keepdims=True)
         return probs[:, BENIGN_CLASS]
 
-    def attention_entropy(self, eps: float = 1e-12) -> float:
-        """Mean Shannon entropy (nats) of the user fraud-attention rows.
-
-        Convenience form without slot masking — padded slots carry near-zero
-        weight after the masked softmax, so they contribute ~0 to the sum.
-        Use :func:`repro.obs.health.attention_entropy` for the mask-aware
-        variant with a normalisation bound.
-        """
-        weights = np.clip(self.user_attention.data, eps, None)
-        row_entropy = -(weights * np.log(weights)).sum(axis=1)
-        return float(row_entropy.mean())
-
 
 class RRRE(nn.Module):
     """Reliable Recommendation with Review-level Explanations.
@@ -201,9 +189,3 @@ def _encode_slots(encoder: nn.Module, slot_matrix: np.ndarray, table: ReviewText
     gathered = F.take_rows(encoded, inverse.reshape(batch, s))
     return gathered
 
-
-def softmax_probabilities(logits: np.ndarray) -> np.ndarray:
-    """Stable softmax over the last axis of a plain array."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    probs = np.exp(shifted)
-    return probs / probs.sum(axis=-1, keepdims=True)

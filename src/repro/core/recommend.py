@@ -71,6 +71,13 @@ def rank_by_rating_then_reliability(
     ]
 
 
+def _resolve_final_k(final_k: Optional[int], top_k: int) -> int:
+    """``final_k`` as a count: ``None`` means ``top_k``; negative is an error."""
+    if final_k is not None and final_k < 0:
+        raise ValueError(f"final_k must be >= 0, got {final_k}")
+    return top_k if final_k is None else final_k
+
+
 @traced("rank.recommend_items", kind="rank")
 def recommend_items(
     trainer: RRRETrainer,
@@ -82,7 +89,7 @@ def recommend_items(
     """Recommend items for ``user_id`` via the rating→reliability re-rank.
 
     ``top_k`` is K, the rating-sorted candidate pool; ``final_k``
-    (default K) is how many survive the reliability re-rank.
+    (default K, ``>= 0``) is how many survive the reliability re-rank.
     """
     trainer._require_fitted()
     dataset = trainer.dataset
@@ -90,14 +97,18 @@ def recommend_items(
         raise IndexError(f"user_id {user_id} outside [0, {dataset.num_users})")
     if top_k < 1:
         raise ValueError(f"top_k must be >= 1, got {top_k}")
-    final_k = final_k or top_k
+    final_k = _resolve_final_k(final_k, top_k)
+    if final_k == 0:
+        return []
 
-    items = np.arange(dataset.num_items, dtype=np.int64)
     if exclude_seen:
-        seen = {dataset.item_ids[idx] for idx in dataset.reviews_by_user[user_id]}
-        items = np.array([i for i in items if i not in seen], dtype=np.int64)
+        unseen = np.ones(dataset.num_items, dtype=bool)
+        unseen[dataset.item_ids[dataset.reviews_by_user[user_id]]] = False
+        items = np.flatnonzero(unseen)
         if len(items) == 0:
             return []
+    else:
+        items = np.arange(dataset.num_items, dtype=np.int64)
     users = np.full(len(items), user_id, dtype=np.int64)
     ratings, reliabilities = trainer.predict_pairs(users, items)
 
@@ -126,16 +137,16 @@ def explain_item(
     Reviews are sorted by predicted rating (top-K candidates), re-ranked
     by predicted reliability, and those below ``min_reliability`` are
     filtered out (the paper's "will be filtered because of its low
-    reliability").
+    reliability").  ``final_k`` (default ``top_k``, ``>= 0``) caps the result.
     """
     trainer._require_fitted()
     dataset = trainer.dataset
     if not 0 <= item_id < dataset.num_items:
         raise IndexError(f"item_id {item_id} outside [0, {dataset.num_items})")
+    final_k = _resolve_final_k(final_k, top_k)
     review_indices = np.array(dataset.reviews_by_item[item_id], dtype=np.int64)
-    if len(review_indices) == 0:
+    if len(review_indices) == 0 or final_k == 0:
         return []
-    final_k = final_k or top_k
 
     users = dataset.user_ids[review_indices]
     items = np.full(len(review_indices), item_id, dtype=np.int64)

@@ -48,6 +48,7 @@ from ..text import train_skipgram
 from .config import RRREConfig
 from .losses import JointLossParts, joint_loss
 from .model import RRRE
+from .profiles import ProfileTable
 
 
 class _EpochDiverged(Exception):
@@ -114,6 +115,7 @@ class RRRETrainer:
         #: The compiled :class:`repro.plan.ExecutionPlan` of the last
         #: ``fit(..., plan=True)`` call (None in interpreted mode).
         self.plan = None
+        self._profiles: Optional[ProfileTable] = None
 
     # ------------------------------------------------------------------
     def fit(
@@ -518,27 +520,18 @@ class RRRETrainer:
         observer.checkpoint(state.epoch, path, time.perf_counter() - start)
 
     # ------------------------------------------------------------------
-    def predict_pairs(
-        self,
-        user_ids: np.ndarray,
-        item_ids: np.ndarray,
-        batch_size: int = 512,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Predict ``(ratings, reliability scores)`` for (u, i) pairs."""
+    def predict_pairs(self, user_ids, item_ids) -> Tuple[np.ndarray, np.ndarray]:
+        """``(ratings, reliability scores)`` for (u, i) pairs, from :meth:`profiles`."""
+        return self.profiles().score_pairs(user_ids, item_ids)
+
+    def profiles(self) -> ProfileTable:
+        """The :class:`ProfileTable` of the current weights, rebuilt only when stale."""
         self._require_fitted()
-        self.model.eval()
-        user_ids = np.asarray(user_ids, dtype=np.int64)
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        ratings = np.empty(len(user_ids))
-        reliabilities = np.empty(len(user_ids))
-        for start in range(0, len(user_ids), batch_size):
-            sl = slice(start, start + batch_size)
-            out = self.model(user_ids[sl], item_ids[sl], self.slots, self.table)
-            ratings[sl] = out.rating.data
-            reliabilities[sl] = out.reliability
-        # Ratings live on a bounded scale; clip to the observed range.
-        np.clip(ratings, *self._rating_range, out=ratings)
-        return ratings, reliabilities
+        table = self._profiles
+        if table is None or not table.is_current(self.model, self.slots, self.table):
+            table = ProfileTable.build(self.model, self.slots, self.table, self._rating_range)
+            self._profiles = table
+        return table
 
     def predict_subset(self, subset: ReviewSubset) -> Tuple[np.ndarray, np.ndarray]:
         """Predict over the (u, i) pairs of a review subset."""

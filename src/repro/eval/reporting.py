@@ -4,8 +4,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence
 
-from .protocol import AggregateResult
-
 
 def format_table(
     title: str,
@@ -64,17 +62,6 @@ def format_table(
             cells.append(text.rjust(col_width))
         lines.append("".join(cells))
     return "\n".join(lines)
-
-
-def aggregate_to_values(
-    aggregates: Mapping[str, AggregateResult], metric: str
-) -> Dict[str, Dict[str, float]]:
-    """Flatten ``{model: AggregateResult}`` into ``{model: {metric: mean}}``."""
-    return {
-        model: {metric: agg.mean(metric)}
-        for model, agg in aggregates.items()
-        if any(metric in run.metrics for run in agg.runs)
-    }
 
 
 def format_series(

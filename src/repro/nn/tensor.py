@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import sys
 import time
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -413,7 +413,3 @@ def _topological_order(root: Tensor) -> list:
     order.reverse()
     return order
 
-
-def no_grad_tensors(values: Iterable[ArrayLike]) -> list:
-    """Wrap an iterable of arrays as constant tensors."""
-    return [ensure_tensor(v) for v in values]

@@ -8,8 +8,8 @@ service instead of an offline table (ROADMAP item 1).  The pipeline:
   per-entity terms (``rating = A_u + B_i + p_u . q_i``,
   ``reliability = sigmoid(a_u + c_i + b)``) plus per-review predicted
   scores, persisted as memory-mappable ``.npy`` tables — serving never
-  re-encodes review text, and store scores are bitwise-equal to
-  ``predict_pairs``.  Versioned roots (``v0001/`` + SHA-256 manifest +
+  re-encodes review text, and store pair scores are bitwise-equal to
+  ``predict_pairs`` (both read the trainer's profile table).  Versioned roots (``v0001/`` + SHA-256 manifest +
   ``CURRENT`` pointer) support atomic hot-reload with validation and
   rollback (:class:`StoreCorrupt` on a rejected candidate);
 * :mod:`repro.serve.retrieval` — :class:`Retriever`, dot-product

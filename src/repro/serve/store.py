@@ -1,34 +1,16 @@
 """The serving embedding store: trained state factored for O(dot) scoring.
 
-Serving must answer "top-K for user u" without re-encoding a single
-review, so the store exploits an exact algebraic factorization of both
-RRRE heads.  In eval mode the profiles ``x_u`` / ``y_i`` depend only on
-the user / item respectively, which lets every (u, i) score decompose
-into per-entity pieces computed once at export time:
-
-* **Rating (Eq. 12)** — the FM over ``z = [z_u, z_i]`` with
-  ``z_u = e_u + W_h x_u`` splits as::
-
-      rating(u, i) = A_u + B_i + p_u . q_i
-
-  where ``p_u = V_u^T z_u`` / ``q_i = V_i^T z_i`` are the FM factor
-  projections and ``A_u`` / ``B_i`` absorb the bias, linear, and
-  intra-entity pairwise terms.  Candidate generation is therefore an
-  *exact* dot product over the item table — no approximation.
-* **Reliability (Eq. 9-10)** — the two-class softmax reduces to
-  ``sigmoid(a_u + c_i + b)`` with ``a_u = x_u . (W[:,1]-W[:,0])_user``
-  and ``c_i`` the item half.
-
-The store persists those per-entity arrays, the per-review predicted
-(rating, reliability) pairs that power explanation payloads, review
-metadata (author, item, text, actual rating/label) in CSR layout by
-item, and popularity statistics for the unknown-user fallback — one
-``.npy`` file per array (memory-mappable) plus a ``meta.json`` sidecar.
-
-Scores served from the store are bitwise-equal to
-``RRRETrainer.predict_pairs`` (including the rating clip to the
-observed training range); ``export_store`` verifies that on a sample
-before writing anything.
+Serving answers "top-K for user u" without re-encoding a single review:
+the store persists the per-entity head terms of the trainer's
+:class:`repro.core.profiles.ProfileTable` (``p_u``, ``A_u``, ``a_u`` per
+user, ``q_i``, ``B_i``, ``c_i`` per item — an *exact* factorization of
+both heads), the per-review predicted (rating, reliability) pairs behind
+explanation payloads, review metadata in CSR layout by item, and
+popularity statistics for the unknown-user fallback — one ``.npy`` file
+per array (memory-mappable) plus a ``meta.json`` sidecar.  Pair scores
+use the same arithmetic as ``RRRETrainer.predict_pairs``
+(:func:`repro.core.profiles.factored_scores`); ``export_store`` verifies
+them against the pairwise model forward before writing anything.
 """
 
 from __future__ import annotations
@@ -37,11 +19,12 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
 from repro import __version__
+from repro.core.profiles import factored_scores, forward_scores
 from repro.resilience.checkpoint import sha256_file
 
 #: Store layout version; bump on any array/meta schema change.
@@ -102,8 +85,7 @@ class EmbeddingStore:
     meta: Dict[str, object]
     path: Optional[Path] = None
     _rel_bias: float = field(init=False)
-    _rating_low: float = field(init=False)
-    _rating_high: float = field(init=False)
+    _rating_range: Tuple[float, float] = field(init=False)
 
     def __post_init__(self) -> None:
         missing = [name for name in _ARRAYS if name not in self.arrays]
@@ -111,8 +93,7 @@ class EmbeddingStore:
             raise ValueError(f"store is missing arrays: {missing}")
         self._rel_bias = float(self.meta["rel_bias"])
         low, high = self.meta["rating_range"]
-        self._rating_low = float(low)
-        self._rating_high = float(high)
+        self._rating_range = (float(low), float(high))
 
     # -- convenience accessors ----------------------------------------
     def __getattr__(self, name: str) -> np.ndarray:
@@ -162,7 +143,7 @@ class EmbeddingStore:
         )
         ratings += self.arrays["user_bias"][user_ids, None]
         ratings += self.arrays["item_bias"][None, :]
-        np.clip(ratings, self._rating_low, self._rating_high, out=ratings)
+        np.clip(ratings, *self._rating_range, out=ratings)
         logits = (
             self.arrays["user_rel"][user_ids, None]
             + self.arrays["item_rel"][None, :]
@@ -173,22 +154,9 @@ class EmbeddingStore:
 
     def score_pairs(self, user_ids: np.ndarray, item_ids: np.ndarray):
         """Scores for aligned (u, i) pairs (store-side ``predict_pairs``)."""
-        user_ids = np.asarray(user_ids, dtype=np.int64)
-        item_ids = np.asarray(item_ids, dtype=np.int64)
-        ratings = np.sum(
-            self.arrays["user_factors"][user_ids]
-            * self.arrays["item_factors"][item_ids],
-            axis=1,
+        return factored_scores(
+            self.arrays, self._rel_bias, self._rating_range, user_ids, item_ids
         )
-        ratings += self.arrays["user_bias"][user_ids]
-        ratings += self.arrays["item_bias"][item_ids]
-        np.clip(ratings, self._rating_low, self._rating_high, out=ratings)
-        logits = (
-            self.arrays["user_rel"][user_ids]
-            + self.arrays["item_rel"][item_ids]
-            + self._rel_bias
-        )
-        return ratings, 1.0 / (1.0 + np.exp(-logits))
 
     # -- persistence ---------------------------------------------------
     def save(self, out_dir) -> Path:
@@ -277,34 +245,6 @@ class EmbeddingStore:
         if verify:
             validate_store(store)
         return store
-
-
-def _entity_profiles(trainer, side: str, batch_size: int) -> np.ndarray:
-    """Eval-mode profiles ``x_u`` (side="user") or ``y_i`` (side="item")."""
-    from repro.core.model import _encode_slots
-
-    model, slots, table = trainer.model, trainer.slots, trainer.table
-    if side == "user":
-        count = model.user_id_embedding.num_embeddings
-        encoder, net = model.user_encoder, model.user_net
-        slot_matrix, slot_mask = slots.user_slots, slots.user_slot_mask
-        own_emb, other_emb = model.user_id_embedding, model.item_id_embedding
-        counterparts = slots.user_slot_items
-    else:
-        count = model.item_id_embedding.num_embeddings
-        encoder, net = model.item_encoder, model.item_net
-        slot_matrix, slot_mask = slots.item_slots, slots.item_slot_mask
-        own_emb, other_emb = model.item_id_embedding, model.user_id_embedding
-        counterparts = slots.item_slot_users
-    profiles = np.empty((count, model.config.review_dim))
-    for start in range(0, count, batch_size):
-        ids = np.arange(start, min(start + batch_size, count), dtype=np.int64)
-        reviews = _encode_slots(encoder, slot_matrix[ids], table)
-        pooled, _ = net(
-            reviews, own_emb(ids), other_emb(counterparts[ids]), slot_mask[ids]
-        )
-        profiles[ids] = pooled.data
-    return profiles
 
 
 # ----------------------------------------------------------------------
@@ -520,120 +460,49 @@ def validate_store(store: EmbeddingStore, manifest: Optional[Dict] = None) -> No
 def export_store(
     trainer,
     out_dir=None,
-    batch_size: int = 256,
     verify_pairs: int = 64,
     versioned: bool = False,
 ) -> EmbeddingStore:
     """Factor a fitted trainer into an :class:`EmbeddingStore`.
 
-    Encodes every user and item profile exactly once (the last time any
-    review text is touched — serving is pure array arithmetic from here
-    on), projects them through the rating/reliability heads into the
-    per-entity terms described in the module docstring, and precomputes
-    per-review predictions and fallback statistics.
-
-    ``verify_pairs`` (> 0) asserts store scores match
-    ``trainer.predict_pairs`` on that many deterministic (u, i) pairs
-    before anything is written.  ``out_dir=None`` returns the in-memory
-    store without persisting.  ``versioned=True`` publishes into
-    ``out_dir`` as a versioned root (``v0001/`` + manifest + ``CURRENT``
-    pointer, see :meth:`EmbeddingStore.save_versioned`) instead of a
-    flat directory — the layout the hot-reload path consumes.
+    Takes the per-entity terms of the trainer's profile table
+    (:meth:`repro.core.RRRETrainer.profiles`) and precomputes per-review
+    predictions and fallback statistics.  ``verify_pairs`` (> 0) asserts
+    store scores match the pairwise model forward on that many seeded
+    (u, i) pairs before anything is written.  ``out_dir=None`` returns
+    the in-memory store; ``versioned=True`` publishes into ``out_dir``
+    as a versioned root (see :meth:`EmbeddingStore.save_versioned`), the
+    layout the hot-reload path consumes.
     """
-    trainer._require_fitted()
+    profiles = trainer.profiles()
     model, dataset = trainer.model, trainer.dataset
-    model.eval()
-    from repro.obs.trace import maybe_span
-
-    with maybe_span("serve.export.profiles", kind="serve"):
-        x_u = _entity_profiles(trainer, "user", batch_size)  # (U, k)
-        y_i = _entity_profiles(trainer, "item", batch_size)  # (I, k)
-
-    k = model.config.review_dim
-    d = model.config.id_dim
-    e_u = model.user_id_embedding.weight.data  # (U, d)
-    e_i = model.item_id_embedding.weight.data  # (I, d)
-
-    # Reliability head: logits = [x_u, y_i] @ W + b, P(benign) via the
-    # two-class softmax == sigmoid of the logit difference.
-    w_rel = model.reliability_head.weight.data  # (2k, 2)
-    b_rel = model.reliability_head.bias.data  # (2,)
-    d_w = w_rel[:, 1] - w_rel[:, 0]
-    user_rel = x_u @ d_w[:k]
-    item_rel = y_i @ d_w[k:]
-    rel_bias = float(b_rel[1] - b_rel[0])
-
-    # Rating head: FM([(e_u + W_h x_u), (e_i + W_e y_i)]) decomposed.
-    z_u = e_u + x_u @ model.w_h.weight.data  # (U, d)
-    z_i = e_i + y_i @ model.w_e.weight.data  # (I, d)
-    w0 = float(model.fm.global_bias.data[0])
-    w_lin = model.fm.linear.data[:, 0]  # (2d,)
-    factors = model.fm.factors.data  # (2d, f)
-    v_u, v_i = factors[:d], factors[d:]
-    p_u = z_u @ v_u  # (U, f)
-    q_i = z_i @ v_i  # (I, f)
-    user_bias = (
-        w0
-        + z_u @ w_lin[:d]
-        + 0.5 * ((p_u**2).sum(axis=1) - (z_u**2) @ (v_u**2).sum(axis=1))
-    )
-    item_bias = (
-        z_i @ w_lin[d:]
-        + 0.5 * ((q_i**2).sum(axis=1) - (z_i**2) @ (v_i**2).sum(axis=1))
-    )
-
-    low, high = trainer._rating_range
+    low, high = profiles.rating_range
 
     # Per-review predictions for explanation payloads: the model's
     # (rating, reliability) for each review's (author, item) pair.
     r_users, r_items = dataset.user_ids, dataset.item_ids
-    review_pred_rating = (
-        user_bias[r_users]
-        + item_bias[r_items]
-        + np.sum(p_u[r_users] * q_i[r_items], axis=1)
-    )
-    np.clip(review_pred_rating, low, high, out=review_pred_rating)
-    review_pred_reliability = 1.0 / (
-        1.0 + np.exp(-(user_rel[r_users] + item_rel[r_items] + rel_bias))
-    )
+    review_pred_rating, review_pred_reliability = profiles.score_pairs(r_users, r_items)
 
-    # CSR indexes: reviews by item (time-sorted, matching
-    # dataset.reviews_by_item) and seen items by user.
-    item_counts = np.array(
-        [len(rows) for rows in dataset.reviews_by_item], dtype=np.int64
-    )
-    item_review_indptr = np.zeros(dataset.num_items + 1, dtype=np.int64)
-    np.cumsum(item_counts, out=item_review_indptr[1:])
+    # CSR indexes: reviews by item (time-sorted, as dataset.reviews_by_item)
+    # and the distinct items each user reviewed, ascending.
+    num_items = dataset.num_items
+    item_counts = np.bincount(r_items, minlength=num_items)
+    item_review_indptr = np.concatenate([[0], np.cumsum(item_counts)])
     item_review_indices = np.array(
         [idx for rows in dataset.reviews_by_item for idx in rows], dtype=np.int64
     )
-    seen_lists = [
-        sorted({int(dataset.item_ids[idx]) for idx in rows})
-        for rows in dataset.reviews_by_user
-    ]
-    user_seen_indptr = np.zeros(dataset.num_users + 1, dtype=np.int64)
-    np.cumsum(
-        np.array([len(s) for s in seen_lists], dtype=np.int64),
-        out=user_seen_indptr[1:],
+    seen_users, user_seen_items = np.divmod(np.unique(r_users * num_items + r_items), num_items)
+    user_seen_indptr = np.concatenate(
+        [[0], np.cumsum(np.bincount(seen_users, minlength=dataset.num_users))]
     )
-    user_seen_items = np.array(
-        [item for s in seen_lists for item in s], dtype=np.int64
+    per_item = np.maximum(item_counts, 1)
+    item_mean_rating = np.bincount(r_items, dataset.ratings, num_items) / per_item
+    item_mean_reliability = (
+        np.bincount(r_items, review_pred_reliability, num_items) / per_item
     )
-
-    sums = np.zeros(dataset.num_items)
-    np.add.at(sums, r_items, dataset.ratings)
-    item_mean_rating = sums / np.maximum(item_counts, 1)
-    rel_sums = np.zeros(dataset.num_items)
-    np.add.at(rel_sums, r_items, review_pred_reliability)
-    item_mean_reliability = rel_sums / np.maximum(item_counts, 1)
 
     arrays = {
-        "user_factors": p_u,
-        "user_bias": user_bias,
-        "user_rel": user_rel,
-        "item_factors": q_i,
-        "item_bias": item_bias,
-        "item_rel": item_rel,
+        **profiles.arrays,
         "review_users": r_users,
         "review_items": r_items,
         "review_ratings": dataset.ratings,
@@ -658,8 +527,8 @@ def export_store(
         "num_users": dataset.num_users,
         "num_items": dataset.num_items,
         "num_reviews": len(dataset.reviews),
-        "factor_dim": int(p_u.shape[1]),
-        "rel_bias": rel_bias,
+        "factor_dim": int(profiles.arrays["user_factors"].shape[1]),
+        "rel_bias": profiles.rel_bias,
         "rating_range": [float(low), float(high)],
         "encoder": model.config.encoder,
         "seed": model.config.seed,
@@ -671,7 +540,9 @@ def export_store(
         users = rng.integers(0, dataset.num_users, size=verify_pairs)
         items = rng.integers(0, dataset.num_items, size=verify_pairs)
         got = store.score_pairs(users, items)
-        want = trainer.predict_pairs(users, items)
+        want = forward_scores(
+            model, trainer.slots, trainer.table, profiles.rating_range, users, items
+        )
         np.testing.assert_allclose(
             got[0], want[0], rtol=1e-9, atol=1e-9,
             err_msg="store ratings diverge from the model",

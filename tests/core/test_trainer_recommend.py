@@ -7,6 +7,7 @@ from repro.core import (
     RRRETrainer,
     explain_item,
     fast_config,
+    rank_by_rating_then_reliability,
     recommend_items,
 )
 from repro.data import load_dataset, train_test_split
@@ -125,6 +126,25 @@ class TestRecommend:
         recs = recommend_items(trainer, 0, top_k=5, final_k=2, exclude_seen=False)
         assert len(recs) <= 2
 
+    def test_final_k_zero_asks_for_none(self, fitted):
+        _, _, _, trainer = fitted
+        assert recommend_items(trainer, 3, top_k=10, final_k=0) == []
+
+    def test_negative_final_k_rejected(self, fitted):
+        _, _, _, trainer = fitted
+        with pytest.raises(ValueError):
+            recommend_items(trainer, 3, top_k=10, final_k=-3)
+
+    def test_exclude_seen_keeps_every_unseen_item_in_order(self, fitted):
+        dataset, _, _, trainer = fitted
+        for user in range(5):
+            seen = {int(dataset.item_ids[i]) for i in dataset.reviews_by_user[user]}
+            unseen = [i for i in range(dataset.num_items) if i not in seen]
+            recs = recommend_items(trainer, user, top_k=dataset.num_items)
+            ratings, reliabilities = trainer.predict_pairs(np.full(len(unseen), user), unseen)
+            order = rank_by_rating_then_reliability(ratings, reliabilities, len(unseen))
+            assert [r.item_id for r in recs] == [unseen[pos] for pos in order]
+
 
 class TestExplain:
     def test_explanations_reference_real_reviews(self, fitted):
@@ -149,6 +169,17 @@ class TestExplain:
         _, _, _, trainer = fitted
         with pytest.raises(IndexError):
             explain_item(trainer, -1)
+
+    def test_final_k_zero_asks_for_none(self, fitted):
+        dataset, _, _, trainer = fitted
+        item = int(dataset.item_degrees().argmax())
+        assert explain_item(trainer, item, top_k=5, final_k=0, min_reliability=0) == []
+
+    def test_negative_final_k_rejected(self, fitted):
+        dataset, _, _, trainer = fitted
+        item = int(dataset.item_degrees().argmax())
+        with pytest.raises(ValueError):
+            explain_item(trainer, item, top_k=5, final_k=-1, min_reliability=0)
 
     def test_reliability_sorted_within_pool(self, fitted):
         dataset, _, _, trainer = fitted

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core import rank_by_rating_then_reliability, recommend_items
+from repro.core.profiles import forward_scores
 from repro.obs import Tracer, use_tracer
 from repro.serve import (
     EmbeddingStore,
@@ -72,12 +73,19 @@ def scored_pairs_total(service):
 
 
 class TestStoreExport:
-    def test_store_matches_predict_pairs(self, fitted_trainer, store):
+    def test_store_matches_pairwise_forward(self, fitted_trainer, store):
         rng = np.random.default_rng(7)
         users = rng.integers(0, store.num_users, size=200)
         items = rng.integers(0, store.num_items, size=200)
         got_r, got_l = store.score_pairs(users, items)
-        want_r, want_l = fitted_trainer.predict_pairs(users, items)
+        want_r, want_l = forward_scores(
+            fitted_trainer.model,
+            fitted_trainer.slots,
+            fitted_trainer.table,
+            fitted_trainer._rating_range,
+            users,
+            items,
+        )
         np.testing.assert_allclose(got_r, want_r, rtol=1e-9, atol=1e-9)
         np.testing.assert_allclose(got_l, want_l, rtol=1e-9, atol=1e-9)
 
