@@ -31,9 +31,10 @@
 #      a corrupt store version offered to hot-reload must be rejected
 #      with the old store still serving (see docs/serving_resilience.md).
 #   8. perfbench smoke — a 2-second traced train-yelp run must exit 0
-#      and attribute time to training, offline inference and export
-#      (core.steps, core.predict_pairs and serve.store.export_s all > 0
-#      in its final JSON line), and a 2-second serve-http run (seed 5)
+#      and attribute time to word pretraining, training, offline
+#      inference and export (text.skipgram_s, core.steps,
+#      core.predict_pairs and serve.store.export_s all > 0 in its
+#      final JSON line), and a 2-second serve-http run (seed 5)
 #      must exit 0.  The repository benchmark (perfbench/, BENCHMARK.json)
 #      wraps trainer and serving entry points by name; a refactor that
 #      moves one, or routes inference around it, breaks here.
@@ -285,7 +286,7 @@ python3 perfbench/run.py --workload train-yelp --seed 1 --seconds 2 --trace 1 \
 tail -n 1 "$SMOKE_DIR/perfbench-train.log" | python -c '
 import json, sys
 metrics = json.loads(sys.stdin.read())["metrics"]
-for name in ("core.steps", "core.predict_pairs", "serve.store.export_s"):
+for name in ("text.skipgram_s", "core.steps", "core.predict_pairs", "serve.store.export_s"):
     value = metrics[name]["value"]
     assert value > 0, f"traced train-yelp attributed nothing to {name}: {value}"
 steps = metrics["core.steps"]["value"]

@@ -34,9 +34,11 @@ def user_profile_attention(
 ) -> List[AttendedReview]:
     """The attention distribution over a user's profile reviews.
 
-    Attention weights depend (mildly) on the counterpart item via the
-    ID channel, so a reference ``item_id`` is required; pass the item
-    you are scoring against for exact weights.
+    The weights depend only on the user's side of the model: the
+    profile reviews, the user's ID embedding and the ID embeddings of
+    the items those reviews are about.  They do not depend on the item
+    being scored, so ``item_id`` only picks the pair the forward pass
+    runs on; every valid item gives the same weights.
     """
     return _profile_attention(trainer, user_id, item_id, side="user")
 
@@ -44,7 +46,11 @@ def user_profile_attention(
 def item_profile_attention(
     trainer: RRRETrainer, item_id: int, user_id: int = 0
 ) -> List[AttendedReview]:
-    """The attention distribution over an item's profile reviews."""
+    """The attention distribution over an item's profile reviews.
+
+    As for :func:`user_profile_attention`, with the roles swapped: the
+    weights do not depend on ``user_id``.
+    """
     return _profile_attention(trainer, user_id, item_id, side="item")
 
 

@@ -74,3 +74,27 @@ class TestFakeDiscount:
     def test_value_is_finite(self, fitted):
         _, _, trainer = fitted
         assert np.isfinite(attention_fake_discount(trainer))
+
+
+class TestCounterpartIndependence:
+    """A profile's attention is computed from its own side of the model only."""
+
+    @staticmethod
+    def _pairs(attended):
+        return [(a.review_index, a.weight) for a in attended]
+
+    def test_user_weights_ignore_the_scored_item(self, fitted):
+        dataset, _, trainer = fitted
+        last = dataset.num_items - 1
+        for user in range(min(20, dataset.num_users)):
+            assert self._pairs(user_profile_attention(trainer, user, 0)) == self._pairs(
+                user_profile_attention(trainer, user, last)
+            )
+
+    def test_item_weights_ignore_the_scoring_user(self, fitted):
+        dataset, _, trainer = fitted
+        last = dataset.num_users - 1
+        for item in range(min(20, dataset.num_items)):
+            assert self._pairs(item_profile_attention(trainer, item, 0)) == self._pairs(
+                item_profile_attention(trainer, item, last)
+            )
