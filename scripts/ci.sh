@@ -8,7 +8,11 @@
 #   2. docs lint           — python scripts/check_docs.py
 #   3. traced smoke run    — a ~10s tiny training run with tracing and
 #      metrics enabled, then a one-shot watch render; asserts the event
-#      stream, the Prometheus dump, and the v2 report all materialize.
+#      stream, the Prometheus dump, and the v2 report all materialize,
+#      and that the report's phase timers (computed from the phase
+#      spans) count both epochs.  A second, planned run (train --plan)
+#      asserts both BiLSTM layer rows record backward time, i.e. the
+#      profiler's probes pass the gradient on into planned layers.
 #   4. chaos recovery smoke — train with an injected mid-epoch crash,
 #      resume from the surviving checkpoints (exercising the CLI
 #      --checkpoint-dir/--resume path too), and assert the resumed
@@ -79,11 +83,28 @@ report = json.loads((smoke / "report.json").read_text())
 problems = validate_report(report)
 assert not problems, f"report failed validation: {problems}"
 assert report["schema_version"] >= 2 and report["health"]["monitors"]
+for phase in ("fit.epoch.train", "fit.epoch.eval"):
+    count = report["timers"][phase]["count"]
+    assert count == 2, f"timers[{phase!r}] counts {count} phases, expected 2"
 
 prom = (smoke / "run.jsonl.prom").read_text()
 assert "# TYPE repro_epoch_seconds histogram" in prom
 
 print("smoke run OK:", len(events), "events,", len(kinds), "span kinds")
+PY
+python -m repro train --dataset yelpchi --scale 0.15 --epochs 2 --plan \
+    --report-json "$SMOKE_DIR/planned.json" > "$SMOKE_DIR/train_planned.log"
+python - "$SMOKE_DIR" <<'PY'
+import json, sys
+from pathlib import Path
+
+report = json.loads((Path(sys.argv[1]) / "planned.json").read_text())
+bilstm = {l["name"]: l["backward_seconds"] for l in report["layers"]
+          if l["name"].endswith(".bilstm")}
+assert len(bilstm) == 2, f"expected two BiLSTM layer rows, got {sorted(bilstm)}"
+dead = [name for name, seconds in bilstm.items() if not seconds > 0]
+assert not dead, f"planned BiLSTM rows record no backward time: {dead}"
+print("planned smoke run OK:", bilstm)
 PY
 
 echo "== chaos recovery smoke =="

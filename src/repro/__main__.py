@@ -422,7 +422,7 @@ def run_train(
 
     from .core import RRRETrainer, fast_config, recommend_items
     from .data import load_dataset, train_test_split
-    from .obs import Telemetry, Tracer, use_tracer
+    from .obs import Tracer, use_tracer
 
     tracer = Tracer(events) if events else None
     scope = use_tracer(tracer) if tracer else contextlib.nullcontext()
@@ -436,7 +436,7 @@ def run_train(
                 train,
                 test,
                 verbose=bool(checkpoint_dir),
-                telemetry=Telemetry(),
+                telemetry=True,
                 checkpoint_dir=checkpoint_dir,
                 resume=resume,
                 checkpoint_every=checkpoint_every,

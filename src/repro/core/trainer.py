@@ -27,7 +27,7 @@ from repro.resilience import (
     check_config_compatible,
     restore_rng_states,
 )
-from repro.obs import HealthSuite, MetricsRegistry, RunObserver, RunReport, Telemetry
+from repro.obs import HealthSuite, MetricsRegistry, RunObserver, RunReport
 
 from ..data import (
     InputSlots,
@@ -105,10 +105,10 @@ class RRRETrainer:
         self.dataset: Optional[ReviewDataset] = None
         self.history: List[EpochRecord] = []
         #: Structured telemetry of the last :meth:`fit` call, populated
-        #: only when ``fit(..., telemetry=...)`` was enabled.
+        #: only when ``fit(..., telemetry=True)``.
         self.report: Optional[RunReport] = None
-        #: Metrics collected by the last telemetry-enabled :meth:`fit`
-        #: (``telemetry.metrics``); export with ``to_prometheus()``.
+        #: Metrics collected by the last telemetry-enabled :meth:`fit`;
+        #: export with ``to_prometheus()``.
         self.metrics_registry: Optional[MetricsRegistry] = None
         #: Health monitors of the last telemetry-enabled :meth:`fit`.
         self.health: Optional[HealthSuite] = None
@@ -124,7 +124,7 @@ class RRRETrainer:
         train: ReviewSubset,
         test: Optional[ReviewSubset] = None,
         verbose: bool = False,
-        telemetry: Union[None, bool, Telemetry] = None,
+        telemetry: bool = False,
         checkpoint_dir=None,
         resume: bool = False,
         checkpoint_every: int = 1,
@@ -136,17 +136,15 @@ class RRRETrainer:
     ) -> "RRRETrainer":
         """Train on ``train``; optionally evaluate on ``test`` per epoch.
 
-        ``telemetry`` opts into observability (see ``docs/observability.md``):
-        ``True`` or a :class:`repro.obs.Telemetry` instance attaches
-        per-layer profiling hooks, phase timers, NaN/Inf guards, metric
-        collection, and health monitors, and populates :attr:`report`
-        with a :class:`repro.obs.RunReport`.  When an ambient tracer is
-        installed (:func:`repro.obs.use_tracer`) or
-        ``telemetry.events_path`` is set, every timed phase also emits
-        trace spans and the run streams ``run_start``/``epoch``/
-        ``health``/``run_end`` events.  All of it goes through one
-        :class:`repro.obs.RunObserver`; the default (``None``/``False``)
-        leaves it empty and runs the untouched fast path.
+        ``telemetry=True`` opts into observability (see
+        ``docs/observability.md``): per-layer profiling hooks, phase
+        spans, NaN/Inf guards, metric collection, and health monitors,
+        with a :class:`repro.obs.RunReport` in :attr:`report`.  When an
+        ambient tracer is installed (:func:`repro.obs.use_tracer`), the
+        phase spans and the run's ``run_start``/``epoch``/``health``/
+        ``run_end`` events go to it.  All of it goes through one
+        :class:`repro.obs.RunObserver`; the default (``False``) leaves it
+        empty and runs the untouched fast path.
 
         Fault tolerance (see ``docs/resilience.md``): ``checkpoint_dir``
         persists a :class:`repro.resilience.TrainState` every
@@ -203,25 +201,25 @@ class RRRETrainer:
         self.health = observer.health
 
         rng = np.random.default_rng(cfg.seed)
-        with observer.phase("fit.vocab"):
+        with observer.phase("fit.vocab", "data"):
             self._prepare(dataset, train)
         self.plan = None
         if plan:
             from repro.plan import compile_plan
 
-            with observer.phase("fit.plan_compile"):
+            with observer.phase("fit.plan_compile", "phase"):
                 self.plan = compile_plan(
                     self.model, batch_size=cfg.batch_size, seq_len=cfg.max_len
                 ).install()
         if validate:
             from repro.analysis import preflight
 
-            with observer.phase("fit.preflight"):
+            with observer.phase("fit.preflight", "phase"):
                 preflight(self.model, self.slots, self.table, mode=validate)
         if cfg.pretrain_words and restored is None:
             # A resumed run restores the trained word vectors from the
             # checkpoint; re-running skip-gram would be wasted work.
-            with observer.phase("fit.pretrain_words"):
+            with observer.phase("fit.pretrain_words", "data"):
                 self._pretrain_words(dataset, train)
 
         optimizer = Adam(self.model.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
@@ -359,7 +357,7 @@ class RRRETrainer:
         sums = np.zeros(3)
         grad_norm_sum = 0.0
         steps = 0
-        with observer.phase("fit.epoch.train"):
+        with observer.phase("fit.epoch.train", "epoch"):
             batches = iter_batches(train, cfg.batch_size, shuffle=True, rng=rng)
             for step, batch in enumerate(batches, 1):
                 if chaos is not None:
@@ -403,7 +401,7 @@ class RRRETrainer:
         Returns the reliability head's calibration error when the
         observer's health monitors want it (else None).
         """
-        with observer.phase("fit.epoch.eval"):
+        with observer.phase("fit.epoch.eval", "eval"):
             ratings, reliabilities = self.predict_subset(test)
             record.eval_metrics = self._score_predictions(ratings, reliabilities, test)
             if observer.health is None:
@@ -492,7 +490,7 @@ class RRRETrainer:
             guard.record(epoch, step, reason, value, lr_before, lr_before)
             observer.divergence_failure(epoch, step, reason, guard.retries)
             guard.raise_exhausted(epoch, reason, value)
-        with observer.phase("fit.rollback"):
+        with observer.phase("fit.rollback", "phase"):
             self._restore_state(last_good, optimizer, rng)
         # Back off from the rate of the *failed* attempt, not the
         # restored one, so repeated retries keep compounding the decay.
@@ -510,14 +508,13 @@ class RRRETrainer:
         ``repro_checkpoint_failures_total`` counter and a
         ``checkpoint_failed`` trace event instead of killing the run.
         """
-        start = time.perf_counter()
         try:
-            with observer.phase("fit.checkpoint"):
+            with observer.phase("fit.checkpoint", "phase"):
                 path = manager.save(state)
         except CheckpointError as exc:
             observer.checkpoint_failed(state.epoch, exc)
             return
-        observer.checkpoint(state.epoch, path, time.perf_counter() - start)
+        observer.checkpoint(state.epoch, path)
 
     # ------------------------------------------------------------------
     def predict_pairs(self, user_ids, item_ids) -> Tuple[np.ndarray, np.ndarray]:

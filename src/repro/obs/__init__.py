@@ -4,19 +4,16 @@ The reproduction's measurement layer, in two tiers:
 
 *Passive* (PR 1) — record what happened:
 
-* :mod:`repro.obs.timers` — :class:`TimerRegistry`, a thread-safe
-  hierarchical timer/counter registry (context-manager and decorator
-  API, cumulative + EMA statistics);
 * :mod:`repro.obs.hooks` — :class:`ModuleProfiler`, opt-in per-layer
   forward/backward timing, gradient norms, activation dead-unit stats,
-  and NaN/Inf guards for any :class:`repro.nn.Module` tree, plus the
-  :class:`Telemetry` switch consumed by
-  :meth:`repro.core.RRRETrainer.fit`;
+  and NaN/Inf guards for any :class:`repro.nn.Module` tree;
 * :mod:`repro.obs.report` — :class:`RunReport`, a schema-versioned JSON
-  document of one training run (v2: ``health`` + ``metrics`` sections),
-  :func:`write_bench_artifact`, the ``benchmarks/out/BENCH_*.json``
-  trajectory writer, and the :func:`validate_report` /
-  :func:`validate_bench_artifact` schema checkers.
+  document of one training run (v2: ``health`` + ``metrics`` sections;
+  per-phase ``timers`` computed by :func:`timer_stats` from span
+  durations), :func:`write_bench_artifact`, the
+  ``benchmarks/out/BENCH_*.json`` trajectory writer, and the
+  :func:`validate_report` / :func:`validate_bench_artifact` schema
+  checkers.
 
 *Active* (PR 2) — export, stream, and alert:
 
@@ -24,9 +21,7 @@ The reproduction's measurement layer, in two tiers:
   counter/gauge/histogram families with labels, streaming quantiles,
   Prometheus text-format and JSONL exporters;
 * :mod:`repro.obs.trace` — :class:`Tracer`, span-based structured
-  tracing with a JSONL event log, layered on the timer registry via
-  :class:`TracingTimerRegistry` so every timed section also emits a
-  span;
+  tracing with a JSONL event log; spans are the only timer of a fit;
 * :mod:`repro.obs.health` — :class:`HealthSuite`, thresholded monitors
   for gradient drift, dead units, fraud-attention entropy collapse, and
   reliability-head calibration drift;
@@ -54,23 +49,20 @@ from .hooks import (
     LayerRecord,
     ModuleProfiler,
     NumericsError,
-    Telemetry,
-    parameter_grad_norms,
 )
 from .metrics import MetricsRegistry, use_metrics
 from .report import (
     SCHEMA_VERSION,
     RunReport,
     validate_bench_artifact,
+    timer_stats,
     validate_report,
     write_bench_artifact,
 )
 from .run import RunObserver
-from .timers import GLOBAL_REGISTRY, TimerRegistry, TimerStat, get_registry
 from .trace import (
     Span,
     Tracer,
-    TracingTimerRegistry,
     current_tracer,
     emit_event,
     maybe_span,
@@ -83,7 +75,6 @@ __all__ = [
     "AttentionEntropyMonitor",
     "CalibrationDriftMonitor",
     "DeadUnitMonitor",
-    "GLOBAL_REGISTRY",
     "GradientDriftMonitor",
     "HealthAlert",
     "HealthSuite",
@@ -95,18 +86,13 @@ __all__ = [
     "RunReport",
     "SCHEMA_VERSION",
     "Span",
-    "Telemetry",
-    "TimerRegistry",
-    "TimerStat",
     "Tracer",
-    "TracingTimerRegistry",
     "attention_entropy",
     "current_tracer",
     "emit_event",
-    "get_registry",
     "maybe_span",
-    "parameter_grad_norms",
     "read_events",
+    "timer_stats",
     "traced",
     "use_metrics",
     "use_tracer",

@@ -167,8 +167,7 @@ class DeadUnitMonitor(HealthMonitor):
     """Dead-unit / saturation rates from per-layer activation stats.
 
     Consumes the ``dead_fraction`` / ``saturation_fraction`` columns of
-    :meth:`repro.obs.ModuleProfiler.layer_profiles` (requires the
-    profiler's ``activation_stats`` switch).  A layer whose outputs are
+    :meth:`repro.obs.ModuleProfiler.layer_profiles`.  A layer whose outputs are
     more than ``max_dead`` zeros, or more than ``max_saturated``
     saturated, raises a warning naming the layer.
     """

@@ -19,10 +19,19 @@ What gets recorded per layer (qualified by dotted module name, e.g.
   layer's share of the backward pass (interleaved sibling branches can
   inflate it slightly — treat it as telemetry, not a micro-benchmark);
 * **gradient norms** — L2 norm of the gradient arriving at each output;
-* **numerical health** — with ``check_finite`` the profiler raises
-  :class:`NumericsError` naming the first layer whose forward output or
-  incoming gradient contains NaN/Inf, instead of letting the poison
-  propagate to an inscrutable loss.
+* **activation stats** — the fraction of output elements that are dead
+  (``|x| <= ZERO_EPS``) or saturated (``|x| >= SATURATION_THRESHOLD``);
+  the saturation column is meaningful for bounded activations
+  (tanh/sigmoid/attention weights), telemetry-only elsewhere;
+* **numerical health** — the profiler raises :class:`NumericsError`
+  naming the first layer whose forward output or incoming gradient
+  contains NaN/Inf, instead of letting the poison propagate to an
+  inscrutable loss;
+* **backward passes** — tape size and wall time of every
+  :meth:`Tensor.backward`, via :func:`repro.nn.tensor.set_backward_observer`.
+
+A module reachable under several names (a shared word embedding) is
+profiled under the first name :meth:`Module.named_modules` yields.
 
 Probes share the layer's data arrays (no copies) and are identity
 functions in the graph, so attaching a profiler never changes results.
@@ -32,8 +41,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -45,49 +53,10 @@ class NumericsError(RuntimeError):
     """Raised when a profiled layer produces or receives NaN/Inf values."""
 
 
-@dataclass
-class Telemetry:
-    """Configuration for :meth:`repro.core.RRRETrainer.fit` telemetry.
-
-    Attributes
-    ----------
-    profile_layers:
-        Attach a :class:`ModuleProfiler` for per-layer forward/backward
-        timings and gradient norms.
-    backward_timing:
-        Splice backward probes (requires ``profile_layers``); disable to
-        shave profiling overhead when only forward times matter.
-    check_finite:
-        Raise :class:`NumericsError` on the first NaN/Inf forward output
-        or gradient, naming the offending layer.
-    graph_stats:
-        Record tape size and wall time of every ``Tensor.backward`` via
-        :func:`repro.nn.tensor.set_backward_observer`.
-    activation_stats:
-        Accumulate per-layer dead-unit and saturation fractions
-        (requires ``profile_layers``); feeds the dead-unit health
-        monitor.
-    metrics:
-        Populate a :class:`repro.obs.MetricsRegistry` (epoch gauges,
-        batch counters, timing histograms) and the report's ``metrics``
-        section.
-    health:
-        Run the :class:`repro.obs.HealthSuite` monitors per epoch and
-        populate the report's ``health`` section.
-    events_path:
-        When set (and no ambient tracer is installed), write the run's
-        span/point events as JSONL to this path — the input of
-        ``python -m repro watch``.
-    """
-
-    profile_layers: bool = True
-    backward_timing: bool = True
-    check_finite: bool = True
-    graph_stats: bool = True
-    activation_stats: bool = True
-    metrics: bool = True
-    health: bool = True
-    events_path: Optional[str] = None
+#: Output elements with ``|x| <= ZERO_EPS`` count as dead units.
+ZERO_EPS = 1e-7
+#: Output elements with ``|x| >= SATURATION_THRESHOLD`` count as saturated.
+SATURATION_THRESHOLD = 0.995
 
 
 class LayerRecord:
@@ -150,7 +119,7 @@ class ModuleProfiler:
     Use as a context manager (recommended) or with explicit
     :meth:`attach` / :meth:`detach`::
 
-        profiler = ModuleProfiler(check_finite=True)
+        profiler = ModuleProfiler()
         with profiler.attach(model):
             loss = model(batch).sum()
             loss.backward()
@@ -160,25 +129,7 @@ class ModuleProfiler:
     process-global); attaching a second raises ``RuntimeError``.
     """
 
-    def __init__(
-        self,
-        backward_timing: bool = True,
-        check_finite: bool = False,
-        graph_stats: bool = False,
-        activation_stats: bool = False,
-        zero_eps: float = 1e-7,
-        saturation_threshold: float = 0.995,
-    ) -> None:
-        self.backward_timing = backward_timing
-        self.check_finite = check_finite
-        self.graph_stats = graph_stats
-        #: Accumulate per-layer dead-unit (``|x| <= zero_eps``) and
-        #: saturation (``|x| >= saturation_threshold``) fractions; the
-        #: saturation column is meaningful for bounded activations
-        #: (tanh/sigmoid/attention weights), telemetry-only elsewhere.
-        self.activation_stats = activation_stats
-        self.zero_eps = zero_eps
-        self.saturation_threshold = saturation_threshold
+    def __init__(self) -> None:
         self.backward_passes = 0
         self.backward_seconds = 0.0
         self.tape_nodes = 0
@@ -194,6 +145,8 @@ class ModuleProfiler:
             raise RuntimeError("another ModuleProfiler is already attached")
         self._attached = root
         for name, module in root.named_modules(prefix=root_name):
+            if id(module) in self._names:  # a shared module keeps its first name
+                continue
             self._names[id(module)] = name
             if name not in self._records:
                 params = sum(
@@ -201,8 +154,7 @@ class ModuleProfiler:
                 )
                 self._records[name] = LayerRecord(name, params)
         Module._active_profiler = self
-        if self.graph_stats:
-            self._prev_observer = set_backward_observer(self._on_backward)
+        self._prev_observer = set_backward_observer(self._on_backward)
         return self
 
     def detach(self) -> None:
@@ -210,9 +162,8 @@ class ModuleProfiler:
         if self._attached is None:
             return
         Module._active_profiler = None
-        if self.graph_stats:
-            set_backward_observer(self._prev_observer)
-            self._prev_observer = None
+        set_backward_observer(self._prev_observer)
+        self._prev_observer = None
         self._attached = None
         self._names.clear()
 
@@ -250,28 +201,25 @@ class ModuleProfiler:
         if name is None:  # module outside the attached tree
             return module.forward(*args, **kwargs)
         record = self._records[name]
-        cell = None
-        if self.backward_timing:
-            cell = {"mark": None}
-            args = tuple(
-                self._entry_probe(a, record, cell) if isinstance(a, Tensor) else a
-                for a in args
-            )
+        cell = {"mark": None}
+        args = tuple(
+            self._entry_probe(a, record, cell) if isinstance(a, Tensor) else a
+            for a in args
+        )
         start = time.perf_counter()
         out = module.forward(*args, **kwargs)
         record.forward_seconds += time.perf_counter() - start
         record.calls += 1
-        if self.check_finite:
-            self._check_forward(out, name)
-        if self.activation_stats:
-            for tensor in _iter_tensors(out):
-                data = np.abs(tensor.data)
-                record.act_elements += data.size
-                record.act_zeros += int((data <= self.zero_eps).sum())
-                record.act_saturated += int((data >= self.saturation_threshold).sum())
-        if self.backward_timing:
-            out = self._wrap_output(out, record, cell)
-        return out
+        for tensor in _iter_tensors(out):
+            if not np.isfinite(tensor.data).all():
+                raise NumericsError(
+                    f"non-finite values in forward output of layer {name!r}"
+                )
+            data = np.abs(tensor.data)
+            record.act_elements += data.size
+            record.act_zeros += int((data <= ZERO_EPS).sum())
+            record.act_saturated += int((data >= SATURATION_THRESHOLD).sum())
+        return self._wrap_output(out, record, cell)
 
     def _on_backward(self, root: Tensor, num_nodes: int, seconds: float) -> None:
         self.backward_passes += 1
@@ -292,9 +240,11 @@ class ModuleProfiler:
                 cell["mark"] = now
             return (grad,)
 
+        # The probe inherits requires_grad: planned executors skip the
+        # input gradient of a tensor that does not require one.
         return Tensor(
             tensor.data,
-            requires_grad=False,
+            requires_grad=tensor.requires_grad,
             parents=(tensor,),
             backward_fn=backward_fn,
             name=f"probe_in:{record.name}",
@@ -303,10 +253,9 @@ class ModuleProfiler:
     def _exit_probe(self, tensor: Tensor, record: LayerRecord, cell: dict) -> Tensor:
         """Identity node whose backward marks gradient *entering* the layer."""
         layer_name = record.name
-        check = self.check_finite
 
         def backward_fn(grad: np.ndarray) -> tuple:
-            if check and not np.isfinite(grad).all():
+            if not np.isfinite(grad).all():
                 raise NumericsError(
                     f"non-finite gradient entering backward of layer {layer_name!r}"
                 )
@@ -321,7 +270,7 @@ class ModuleProfiler:
 
         return Tensor(
             tensor.data,
-            requires_grad=False,
+            requires_grad=tensor.requires_grad,
             parents=(tensor,),
             backward_fn=backward_fn,
             name=f"probe_out:{record.name}",
@@ -344,13 +293,6 @@ class ModuleProfiler:
             return dataclasses.replace(out, **updates) if updates else out
         return out
 
-    def _check_forward(self, out: Any, name: str) -> None:
-        for tensor in _iter_tensors(out):
-            if not np.isfinite(tensor.data).all():
-                raise NumericsError(
-                    f"non-finite values in forward output of layer {name!r}"
-                )
-
 
 def _iter_tensors(out: Any):
     """Yield the Tensor leaves of a forward return value."""
@@ -365,12 +307,3 @@ def _iter_tensors(out: Any):
             value = getattr(out, f.name)
             if isinstance(value, Tensor):
                 yield value
-
-
-def parameter_grad_norms(module: Module) -> Dict[str, float]:
-    """L2 norm of each parameter's current gradient (missing grads → 0)."""
-    norms: Dict[str, float] = {}
-    for name, param in module.named_parameters():
-        grad = param.grad
-        norms[name] = float(np.sqrt((grad * grad).sum())) if grad is not None else 0.0
-    return norms

@@ -3,7 +3,7 @@
 A :class:`RunReport` captures one training run end to end — the exact
 configuration, the dataset shape, every epoch's losses/timings/metrics,
 the per-layer forward/backward profile (when hooks were enabled), the
-timer-registry snapshot, and the final evaluation metrics — as a
+per-phase timer statistics, and the final evaluation metrics — as a
 schema-versioned, JSON-round-trippable document.  The CLI writes it via
 ``python -m repro train --report-json out.json``; benchmarks write their
 sibling artifact via :func:`write_bench_artifact` so the repository
@@ -21,7 +21,7 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 #: Bumped whenever a field is added to :class:`RunReport` or the bench
 #: artifact layout.  Consumers should accept any version >= the one they
@@ -37,9 +37,35 @@ from typing import Any, Dict, List, Optional
 SCHEMA_VERSION = 2
 
 
+#: Smoothing factor of the ``ema`` column of :func:`timer_stats`.
+TIMER_EMA_ALPHA = 0.2
+
+
 def _utc_now() -> str:
     """ISO-8601 UTC timestamp (second resolution)."""
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+
+def timer_stats(durations: Sequence[float]) -> Dict[str, float]:
+    """One ``timers`` entry of a :class:`RunReport` from a phase's span durations.
+
+    ``count``/``total``/``mean``/``min``/``max``/``last`` over the
+    observations in order, and ``ema``, an exponential moving average
+    (:data:`TIMER_EMA_ALPHA`) seeded with the first observation.
+    """
+    ema = durations[0]
+    for value in durations[1:]:
+        ema += TIMER_EMA_ALPHA * (value - ema)
+    total = sum(durations)
+    return {
+        "count": len(durations),
+        "total": total,
+        "mean": total / len(durations),
+        "ema": ema,
+        "min": min(durations),
+        "max": max(durations),
+        "last": durations[-1],
+    }
 
 
 @dataclass
@@ -61,14 +87,15 @@ class RunReport:
         :meth:`repro.obs.ModuleProfiler.layer_profiles` — empty when
         hooks were disabled.
     timers:
-        :meth:`repro.obs.TimerRegistry.snapshot` of the run's phases.
+        ``{phase: timer_stats(...)}`` — statistics of the durations of
+        each ``fit.*`` phase span (see :meth:`repro.obs.RunObserver.phase`).
     eval_metrics:
         Final evaluation metrics (last epoch's, or a dedicated pass).
     model:
         Parameter accounting (total count, per-component breakdown).
     backward:
-        Tape statistics (passes, cumulative seconds, total nodes) when
-        graph stats were enabled.
+        Tape statistics (passes, cumulative seconds, total nodes) of
+        the profiled run.
     health:
         :meth:`repro.obs.HealthSuite.report` output — overall status,
         per-monitor summaries, and the alert list (schema v2; empty for

@@ -1,12 +1,15 @@
 """One training run's observability behind one object.
 
 :class:`RunObserver` is what :meth:`repro.core.RRRETrainer.fit` reports
-through: phase timers (spans too when a tracer is present), per-layer
-profiling, the metrics registry, the health monitors, trace events,
-``verbose`` console lines, and the final :class:`RunReport`.  It is
-built from fit's ``telemetry=`` argument; with telemetry off every
-component is absent and each method reduces to a ``None`` check, so the
-training loop calls it unconditionally.
+through: phase spans, per-layer profiling, the metrics registry, the
+health monitors, trace events, ``verbose`` console lines, and the final
+:class:`RunReport`.  It is built from fit's ``telemetry=`` switch; with
+telemetry off every component is absent and each method reduces to a
+``None`` check, so the training loop calls it unconditionally.
+
+Phases are spans: on the ambient tracer (:func:`repro.obs.use_tracer`)
+when the run is traced, else on a private in-memory :class:`Tracer`.
+The report's ``timers`` section is computed from their durations.
 
 Everything it takes is a plain value (dicts, arrays, the model as a
 :class:`repro.nn.Module`) — ``repro.obs`` never imports ``repro.core``.
@@ -17,7 +20,7 @@ checkpoints, and the model/optimizer/RNG state they rewind.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -25,61 +28,54 @@ from repro.nn.module import Module
 
 from . import trace as _trace
 from .health import HealthAlert, HealthSuite, attention_entropy
-from .hooks import ModuleProfiler, Telemetry
+from .hooks import ModuleProfiler
 from .metrics import MetricsRegistry, use_metrics
-from .report import RunReport
-from .timers import TimerRegistry
+from .report import RunReport, timer_stats
 
 __all__ = ["RunObserver"]
 
 
 class RunObserver:
-    """Timers, profiler, metrics, health, events and report of one fit.
+    """Phase spans, profiler, metrics, health, events and report of one fit.
 
     Parameters
     ----------
     telemetry:
-        ``None``/``False`` (the no-op form), ``True`` (``Telemetry()``
-        defaults) or a :class:`Telemetry`.
+        ``False`` is the no-op form; ``True`` turns on everything:
+        phase spans, layer profiling, metrics, health monitors and the
+        report.
     verbose:
         Print one line per epoch, rollback, failed checkpoint and resume.
     """
 
-    def __init__(
-        self, telemetry: Union[None, bool, Telemetry] = None, verbose: bool = False
-    ) -> None:
-        if telemetry is True:
-            telemetry = Telemetry()
-        self.telemetry: Optional[Telemetry] = telemetry or None
+    def __init__(self, telemetry: bool = False, verbose: bool = False) -> None:
+        self.telemetry = bool(telemetry)
         self.verbose = verbose
         self.tracer: Optional[_trace.Tracer] = None
-        self.timers: Optional[TimerRegistry] = None
         self.metrics: Optional[MetricsRegistry] = None
         self.health: Optional[HealthSuite] = None
         self.profiler: Optional[ModuleProfiler] = None
-        self._owns_tracer = False
+        self._durations: Dict[str, List[float]] = {}
         self._run: Dict[str, Any] = {}
         self._entropy = np.zeros(3)  # entropy, max entropy, batches
-        if self.telemetry is None:
+        if not self.telemetry:
             return
-        self.tracer = _trace.current_tracer()
-        if self.tracer is None and self.telemetry.events_path:
-            self.tracer = _trace.Tracer(self.telemetry.events_path)
-            self._owns_tracer = True
-        self.timers = (
-            _trace.TracingTimerRegistry(self.tracer)
-            if self.tracer is not None
-            else TimerRegistry()
-        )
-        if self.telemetry.metrics:
-            self.metrics = MetricsRegistry()
-        if self.telemetry.health:
-            self.health = HealthSuite()
+        self.tracer = _trace.current_tracer() or _trace.Tracer()
+        self.metrics = MetricsRegistry()
+        self.health = HealthSuite()
 
     # ------------------------------------------------------------------
-    def phase(self, name: str):
-        """A timer scope (and span, when traced) named ``name``."""
-        return self.timers.timer(name) if self.timers is not None else nullcontext()
+    def phase(self, name: str, kind: str):
+        """A span named ``name`` of ``kind`` whose duration feeds the report's timers."""
+        return self._phase(name, kind) if self.tracer is not None else nullcontext()
+
+    @contextmanager
+    def _phase(self, name: str, kind: str):
+        span = self.tracer.begin(name, kind)
+        try:
+            yield
+        finally:
+            self._durations.setdefault(name, []).append(self.tracer.end(span))
 
     @contextmanager
     def run(self, model: Module, **info: Any):
@@ -92,14 +88,8 @@ class RunObserver:
         self._run = info
         if self.verbose and "resumed_from_epoch" in info:
             print(f"[resilience] resumed from checkpoint at epoch {info['resumed_from_epoch']}")
-        if self.telemetry is not None and self.telemetry.profile_layers:
-            self.profiler = ModuleProfiler(
-                backward_timing=self.telemetry.backward_timing,
-                check_finite=self.telemetry.check_finite,
-                graph_stats=self.telemetry.graph_stats,
-                activation_stats=self.telemetry.activation_stats,
-            )
-            self.profiler.attach(model)
+        if self.telemetry:
+            self.profiler = ModuleProfiler().attach(model)
         self._event("run_start", **info)
         if self.metrics is not None:
             # Registered up front so the families keep their report order.
@@ -112,11 +102,6 @@ class RunObserver:
         try:
             with use_metrics(self.metrics) if self.metrics is not None else nullcontext():
                 yield self
-        except BaseException:
-            # A failed run never reaches finish(); release its event file here.
-            if self._owns_tracer:
-                self.tracer.close()
-            raise
         finally:
             if self.profiler is not None:
                 self.profiler.detach()
@@ -145,7 +130,7 @@ class RunObserver:
                 )
             if ece is not None:
                 alerts.append(health.calibration.observe(epoch, ece))
-            if self.profiler is not None and self.telemetry.activation_stats:
+            if self.profiler is not None:
                 alerts.extend(
                     health.dead_units.observe_layers(epoch, self.profiler.layer_profiles())
                 )
@@ -195,8 +180,11 @@ class RunObserver:
         """The guard's retry budget ran out; the run is about to fail."""
         self._event("divergence_failure", epoch=epoch, step=step, reason=reason, retries=retries)
 
-    def checkpoint(self, epoch: int, path, seconds: float) -> None:
-        """A checkpoint was written."""
+    def checkpoint(self, epoch: int, path) -> None:
+        """A checkpoint was written, timed by the ``fit.checkpoint`` phase just closed."""
+        if self.tracer is None:
+            return
+        seconds = self._durations["fit.checkpoint"][-1]
         self._count("repro_checkpoints_total", "Checkpoints written")
         if self.metrics is not None:
             self.metrics.histogram(
@@ -220,15 +208,14 @@ class RunObserver:
 
         ``history`` is the run's history rows as dicts; ``sections`` are
         the trainer-owned :class:`RunReport` fields (``config``,
-        ``dataset``, ``model``, ``meta``).  Closes a tracer this observer
-        opened from ``Telemetry.events_path``.
+        ``dataset``, ``model``, ``meta``).
         """
         eval_metrics = dict(history[-1]["eval_metrics"]) if history else {}
         report = None
-        if self.telemetry is not None:
+        if self.telemetry:
             profiler = self.profiler
             backward: Dict[str, float] = {}
-            if profiler is not None and profiler.graph_stats:
+            if profiler is not None:
                 backward = {
                     "passes": profiler.backward_passes,
                     "seconds": profiler.backward_seconds,
@@ -237,7 +224,10 @@ class RunObserver:
             report = RunReport(
                 history=history,
                 layers=profiler.layer_profiles() if profiler is not None else [],
-                timers=self.timers.snapshot(),
+                timers={
+                    name: timer_stats(durations)
+                    for name, durations in sorted(self._durations.items())
+                },
                 eval_metrics=eval_metrics,
                 backward=backward,
                 health=self.health.report() if self.health is not None else {},
@@ -251,8 +241,6 @@ class RunObserver:
                 health=self.health.status if self.health is not None else "unknown",
                 **eval_metrics,
             )
-            if self._owns_tracer:
-                self.tracer.close()
         return report
 
     # ------------------------------------------------------------------

@@ -5,7 +5,7 @@ and point events — each carrying a trace id, a span id, and the parent
 span id, so one training run serializes into a single reconstructable
 tree covering data generation, every epoch, evaluation, and re-ranking.
 
-Three ways to produce spans:
+Two ways to produce spans:
 
 * explicitly, via the context manager / decorator API::
 
@@ -15,12 +15,9 @@ Three ways to produce spans:
       @traced("rank.recommend", kind="rank")
       def recommend_items(...): ...
 
-* implicitly, by layering on the existing timer registry:
-  :class:`TracingTimerRegistry` is a drop-in
-  :class:`repro.obs.TimerRegistry` whose timer scopes *also* emit spans
-  (kind inferred from the dotted path, see :data:`KIND_RULES`) — so
-  every already-timed section of ``RRRETrainer.fit`` shows up in the
-  trace for free;
+  :meth:`repro.obs.RunObserver.phase` opens its ``fit.*`` phase spans
+  this way, and the run report's ``timers`` section is computed from
+  their durations;
 
 * ambiently: library code calls :func:`maybe_span` / :func:`emit_event`,
   which are no-ops (one global read + ``None`` check) unless a tracer
@@ -46,52 +43,21 @@ import time
 import uuid
 from contextlib import contextmanager, nullcontext
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 from ..analysis.concurrency.locks import make_lock
-from .timers import TimerRegistry
 
 __all__ = [
-    "KIND_RULES",
     "Span",
     "Tracer",
-    "TracingTimerRegistry",
     "current_tracer",
     "emit_event",
-    "kind_for_path",
     "maybe_span",
     "read_events",
     "set_tracer",
     "traced",
     "use_tracer",
 ]
-
-#: ``(substring, kind)`` rules applied to the *last* segment of a dotted
-#: timer path (first match wins) when a :class:`TracingTimerRegistry`
-#: infers a span kind.  Paths matching nothing get kind ``"phase"``.
-KIND_RULES: Tuple[Tuple[str, str], ...] = (
-    ("eval", "eval"),
-    ("pretrain", "data"),  # before "train": "pretrain_words" is data work
-    ("train", "epoch"),
-    ("epoch", "epoch"),
-    ("vocab", "data"),
-    ("load", "data"),
-    ("generate", "data"),
-    ("batch", "data"),
-    ("recommend", "rank"),
-    ("explain", "rank"),
-    ("rank", "rank"),
-)
-
-
-def kind_for_path(path: str) -> str:
-    """Span kind inferred from a dotted timer path (see :data:`KIND_RULES`)."""
-    leaf = path.rsplit(".", 1)[-1]
-    for needle, kind in KIND_RULES:
-        if needle in leaf:
-            return kind
-    return "phase"
-
 
 class Span:
     """One open span: identity plus start time (attrs ride on the events)."""
@@ -122,15 +88,14 @@ class Tracer:
     ----------
     sink:
         ``None`` → events buffer in memory (:attr:`events`);
-        a path → JSONL file, line-flushed so it can be tailed;
-        a callable → invoked with each event dict.
+        a path → JSONL file, line-flushed so it can be tailed.
     trace_id:
         Identity shared by every event of this tracer (random default).
     """
 
     def __init__(
         self,
-        sink: Union[None, str, Path, Callable[[Dict[str, Any]], None]] = None,
+        sink: Union[None, str, Path] = None,
         trace_id: Optional[str] = None,
     ) -> None:
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
@@ -139,10 +104,7 @@ class Tracer:
         self._counter = 0
         self._local = threading.local()
         self._file = None
-        self._callable: Optional[Callable[[Dict[str, Any]], None]] = None
-        if callable(sink):
-            self._callable = sink
-        elif sink is not None:
+        if sink is not None:
             path = Path(sink)
             path.parent.mkdir(parents=True, exist_ok=True)
             self._file = open(path, "w", encoding="utf-8")
@@ -167,9 +129,6 @@ class Tracer:
 
     # -- emission ------------------------------------------------------
     def _emit(self, payload: Dict[str, Any]) -> None:
-        if self._callable is not None:
-            self._callable(payload)
-            return
         # The file handle is checked *under* the lock so a concurrent
         # close() cannot yank it between the check and the write.
         with self._lock:
@@ -266,41 +225,6 @@ class Tracer:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         self.close()
-
-
-class TracingTimerRegistry(TimerRegistry):
-    """A :class:`TimerRegistry` whose timer scopes also emit spans.
-
-    Drop-in: every ``with registry.timer(name)`` (and decorator use)
-    both accumulates timing statistics *and* emits ``span_begin`` /
-    ``span_end`` events to ``tracer``, with the span kind inferred from
-    the dotted path via :func:`kind_for_path`.
-    """
-
-    def __init__(self, tracer: Tracer, ema_alpha: float = 0.2) -> None:
-        super().__init__(ema_alpha=ema_alpha)
-        self.tracer = tracer
-        self._spans = threading.local()
-
-    def _span_stack(self) -> List[Span]:
-        stack = getattr(self._spans, "stack", None)
-        if stack is None:
-            stack = []
-            self._spans.stack = stack
-        return stack
-
-    def _push(self, name: str) -> None:
-        super()._push(name)
-        path = self._stack()[-1]
-        self._span_stack().append(
-            self.tracer.begin(path, kind=kind_for_path(path))
-        )
-
-    def _pop(self, elapsed: float) -> None:
-        super()._pop(elapsed)
-        spans = self._span_stack()
-        if spans:
-            self.tracer.end(spans.pop())
 
 
 # -- ambient tracer ----------------------------------------------------

@@ -1,4 +1,4 @@
-"""Observability must stay cheap: tracing+metrics within 1.5x of the off path.
+"""Observability must stay cheap: full telemetry within 1.5x of the off path.
 
 Margins are deliberately generous (ratio plus an absolute slack term) —
 this is a guard against pathological regressions (per-batch file I/O,
@@ -9,7 +9,7 @@ import time
 
 from repro.core import RRRETrainer, fast_config
 from repro.data import load_dataset, train_test_split
-from repro.obs import Telemetry
+from repro.obs import Tracer, use_tracer
 
 #: Allowed ratio of instrumented to plain wall time, plus absolute slack
 #: (seconds) so tiny baselines on noisy CI boxes don't flake.
@@ -32,18 +32,10 @@ def test_tracing_and_metrics_overhead_bounded(tmp_path):
     _fit_seconds(dataset, train, test, telemetry=None)
 
     plain = _fit_seconds(dataset, train, test, telemetry=None)
-    # Layer profiling is measured elsewhere; this guards the *new* parts:
-    # span tracing to a real file, metric recording, health monitors.
-    instrumented = _fit_seconds(
-        dataset, train, test,
-        telemetry=Telemetry(
-            profile_layers=False,
-            graph_stats=False,
-            metrics=True,
-            health=True,
-            events_path=str(tmp_path / "run.jsonl"),
-        ),
-    )
+    # Everything on: layer profiling, span tracing to a real file, metric
+    # recording, health monitors.
+    with Tracer(tmp_path / "run.jsonl") as tracer, use_tracer(tracer):
+        instrumented = _fit_seconds(dataset, train, test, telemetry=True)
     assert instrumented <= plain * MAX_RATIO + SLACK_SECONDS, (
         f"observability overhead too high: instrumented={instrumented:.3f}s "
         f"plain={plain:.3f}s"

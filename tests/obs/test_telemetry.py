@@ -9,7 +9,7 @@ import pytest
 from repro.__main__ import main
 from repro.core import RRRETrainer, fast_config
 from repro.data import load_dataset, train_test_split
-from repro.obs import SCHEMA_VERSION, RunReport, Telemetry, read_events
+from repro.obs import SCHEMA_VERSION, RunReport, read_events
 
 
 @pytest.fixture(scope="module")
@@ -63,15 +63,6 @@ class TestTrainerTelemetry:
         path = report.save(tmp_path / "run.json")
         assert RunReport.load(path).to_dict() == report.to_dict()
 
-    def test_custom_telemetry_without_graph_stats(self, split):
-        dataset, train, _ = split
-        trainer = RRRETrainer(fast_config(epochs=1, seed=0))
-        trainer.fit(
-            dataset, train, telemetry=Telemetry(graph_stats=False)
-        )
-        assert trainer.report is not None
-        assert trainer.report.backward == {}
-
     def test_fit_without_telemetry_keeps_report_none(self, split):
         import repro.nn as nn
 
@@ -81,11 +72,16 @@ class TestTrainerTelemetry:
         assert trainer.report is None
         assert nn.Module._active_profiler is None
 
-    def test_history_unaffected_by_telemetry(self, split, telemetry_trainer):
+    @pytest.mark.parametrize("plan", [False, True], ids=["interpreted", "planned"])
+    def test_history_unaffected_by_telemetry(self, split, telemetry_trainer, plan):
         """Telemetry must not change training numerics: bitwise, not approx."""
         dataset, train, test = split
-        plain = RRRETrainer(fast_config(epochs=2, seed=0)).fit(dataset, train, test)
+        plain = RRRETrainer(fast_config(epochs=2, seed=0)).fit(dataset, train, test, plan=plan)
         hooked = telemetry_trainer
+        if plan:
+            hooked = RRRETrainer(fast_config(epochs=2, seed=0)).fit(
+                dataset, train, test, telemetry=True, plan=True
+            )
         plain_state, hooked_state = plain.model.state_dict(), hooked.model.state_dict()
         assert sorted(plain_state) == sorted(hooked_state)
         for key in plain_state:
@@ -95,6 +91,10 @@ class TestTrainerTelemetry:
             ours, theirs = asdict(ours), asdict(theirs)
             ours.pop("seconds"), theirs.pop("seconds")
             assert ours == theirs
+        # The profiler's probes pass the gradient on into planned layers.
+        bilstm = [l for l in hooked.report.layers if l["name"].endswith(".bilstm")]
+        assert len(bilstm) == 2
+        assert all(l["backward_seconds"] > 0 for l in bilstm), bilstm
 
     def test_report_carries_health_and_metrics(self, telemetry_trainer):
         report = telemetry_trainer.report
@@ -120,18 +120,6 @@ class TestTrainerTelemetry:
         assert "# TYPE repro_epoch_seconds histogram" in text
         assert "repro_epochs_total 2" in text
         assert telemetry_trainer.health is not None
-
-    def test_metrics_and_health_can_be_disabled(self, split):
-        dataset, train, _ = split
-        trainer = RRRETrainer(fast_config(epochs=1, seed=0))
-        trainer.fit(
-            dataset, train,
-            telemetry=Telemetry(metrics=False, health=False),
-        )
-        assert trainer.metrics_registry is None
-        assert trainer.health is None
-        assert trainer.report.health == {}
-        assert trainer.report.metrics == {}
 
 
 class TestTrainCli:

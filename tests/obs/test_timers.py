@@ -1,167 +1,80 @@
-"""Unit tests for repro.obs.timers: nesting, statistics, thread safety."""
+"""Phase timers: the report's ``timers`` view over phase span durations."""
 
-import threading
 import time
 
 import pytest
 
-from repro.obs import TimerRegistry, get_registry
+from repro.obs import RunObserver, timer_stats
+from repro.obs.report import TIMER_EMA_ALPHA
+
+
+def _timers(observer):
+    return observer.finish([]).timers
 
 
 class TestNesting:
-    def test_nested_scopes_build_dotted_paths(self):
-        registry = TimerRegistry()
-        with registry.timer("fit"):
-            with registry.timer("epoch"):
-                with registry.timer("train"):
-                    pass
-            with registry.timer("epoch"):
-                pass
-        assert registry.paths() == ["fit", "fit.epoch", "fit.epoch.train"]
-        assert registry.get("fit.epoch").count == 2
-        assert registry.get("fit").count == 1
-
     def test_sibling_scopes_do_not_nest(self):
-        registry = TimerRegistry()
-        with registry.timer("a"):
+        observer = RunObserver(telemetry=True)
+        with observer.phase("a", "phase"):
             pass
-        with registry.timer("b"):
+        with observer.phase("b", "phase"):
             pass
-        assert registry.paths() == ["a", "b"]
+        assert sorted(_timers(observer)) == ["a", "b"]
 
     def test_dotted_names_pass_through(self):
-        registry = TimerRegistry()
-        with registry.timer("fit.epoch.train"):
+        observer = RunObserver(telemetry=True)
+        with observer.phase("fit.epoch.train", "epoch"):
             pass
-        assert registry.paths() == ["fit.epoch.train"]
-
-    def test_invalid_names_rejected(self):
-        registry = TimerRegistry()
-        for bad in ("", ".x", "x."):
-            with pytest.raises(ValueError):
-                with registry.timer(bad):
-                    pass
+        assert sorted(_timers(observer)) == ["fit.epoch.train"]
 
     def test_scope_pops_on_exception(self):
-        registry = TimerRegistry()
+        observer = RunObserver(telemetry=True)
         with pytest.raises(RuntimeError):
-            with registry.timer("outer"):
+            with observer.phase("outer", "phase"):
                 raise RuntimeError("boom")
-        # The stack unwound: a new scope is top-level again.
-        with registry.timer("after"):
+        # The span closed: a new phase is top-level again.
+        with observer.phase("after", "phase"):
             pass
-        assert "after" in registry.paths()
-        assert "outer.after" not in registry.paths()
+        assert observer.tracer.current_span() is None
+        timers = _timers(observer)
+        assert timers["outer"]["count"] == 1
+        assert timers["after"]["count"] == 1
 
 
 class TestStatMath:
     def test_count_total_mean_min_max(self):
-        registry = TimerRegistry(ema_alpha=0.5)
-        for value in (1.0, 3.0, 2.0):
-            registry.count("metric", value)
-        stat = registry.get("metric")
-        assert stat.count == 3
-        assert stat.total == pytest.approx(6.0)
-        assert stat.mean == pytest.approx(2.0)
-        assert stat.minimum == pytest.approx(1.0)
-        assert stat.maximum == pytest.approx(3.0)
-        assert stat.last == pytest.approx(2.0)
+        stat = timer_stats([1.0, 3.0, 2.0])
+        assert stat["count"] == 3
+        assert stat["total"] == pytest.approx(6.0)
+        assert stat["mean"] == pytest.approx(2.0)
+        assert stat["min"] == pytest.approx(1.0)
+        assert stat["max"] == pytest.approx(3.0)
+        assert stat["last"] == pytest.approx(2.0)
 
     def test_ema_seeds_with_first_value_then_smooths(self):
-        registry = TimerRegistry(ema_alpha=0.5)
-        registry.count("m", 4.0)
-        assert registry.get("m").ema == pytest.approx(4.0)
-        registry.count("m", 0.0)
-        # ema += 0.5 * (0 - 4) → 2.0
-        assert registry.get("m").ema == pytest.approx(2.0)
+        assert timer_stats([4.0])["ema"] == pytest.approx(4.0)
+        # ema += alpha * (0 - 4)
+        expected = 4.0 - TIMER_EMA_ALPHA * 4.0
+        assert timer_stats([4.0, 0.0])["ema"] == pytest.approx(expected)
 
     def test_timer_records_positive_elapsed(self):
-        registry = TimerRegistry()
-        with registry.timer("sleep"):
+        observer = RunObserver(telemetry=True)
+        with observer.phase("sleep", "phase"):
             time.sleep(0.01)
-        stat = registry.get("sleep")
-        assert stat.total >= 0.009
-        assert stat.count == 1
+        stat = _timers(observer)["sleep"]
+        assert stat["total"] >= 0.009
+        assert stat["count"] == 1
 
     def test_snapshot_is_json_shaped_and_detached(self):
-        registry = TimerRegistry()
-        registry.count("x", 1.0)
-        snap = registry.snapshot()
-        assert set(snap["x"]) == {"count", "total", "mean", "ema", "min", "max", "last"}
-        registry.count("x", 1.0)
-        assert snap["x"]["count"] == 1  # snapshot is a copy
-
-    def test_reset_clears_stats(self):
-        registry = TimerRegistry()
-        registry.count("x")
-        registry.reset()
-        assert registry.paths() == []
-
-    def test_invalid_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            TimerRegistry(ema_alpha=0.0)
+        stat = timer_stats([1.0])
+        assert set(stat) == {"count", "total", "mean", "ema", "min", "max", "last"}
+        stat["count"] = 99
+        assert timer_stats([1.0])["count"] == 1
 
 
-class TestDecorator:
-    def test_timed_defaults_to_function_name(self):
-        registry = TimerRegistry()
-
-        @registry.timed()
-        def work():
-            return 42
-
-        assert work() == 42
-        assert registry.get("work").count == 1
-
-    def test_timed_nests_under_active_scope(self):
-        registry = TimerRegistry()
-
-        @registry.timed("inner")
-        def work():
-            pass
-
-        with registry.timer("outer"):
-            work()
-        assert registry.get("outer.inner").count == 1
-
-
-class TestThreadSafety:
-    def test_parallel_updates_all_counted(self):
-        registry = TimerRegistry()
-        n, per_thread = 8, 50
-
-        def loop():
-            for _ in range(per_thread):
-                with registry.timer("shared"):
-                    pass
-
-        threads = [threading.Thread(target=loop) for _ in range(n)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert registry.get("shared").count == n * per_thread
-
-    def test_nesting_is_per_thread(self):
-        registry = TimerRegistry()
-        done = threading.Event()
-
-        def other():
-            with registry.timer("theirs"):
-                done.set()
-                time.sleep(0.02)
-
-        thread = threading.Thread(target=other)
-        with registry.timer("mine"):
-            thread.start()
-            done.wait(1.0)
-            with registry.timer("child"):
-                pass
-        thread.join()
-        paths = registry.paths()
-        assert "mine.child" in paths
-        assert "theirs" in paths  # not nested under "mine"
-
-
-def test_global_registry_is_shared():
-    assert get_registry() is get_registry()
+def test_phase_is_a_noop_without_telemetry():
+    observer = RunObserver(telemetry=False)
+    with observer.phase("fit.vocab", "data"):
+        pass
+    assert observer.tracer is None
+    assert observer.finish([]) is None

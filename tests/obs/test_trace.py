@@ -1,4 +1,4 @@
-"""Span tracing: nesting, sinks, the timer-registry bridge, kind inference."""
+"""Span tracing: nesting, sinks, the ambient tracer, observer phase spans."""
 
 import json
 import threading
@@ -6,8 +6,8 @@ import threading
 import pytest
 
 from repro.obs import (
+    RunObserver,
     Tracer,
-    TracingTimerRegistry,
     current_tracer,
     emit_event,
     maybe_span,
@@ -15,7 +15,6 @@ from repro.obs import (
     traced,
     use_tracer,
 )
-from repro.obs.trace import kind_for_path
 
 
 class TestSpans:
@@ -56,14 +55,6 @@ class TestSpans:
                 raise RuntimeError("x")
         assert tracer.events[-1]["event"] == "span_end"
         assert tracer.current_span() is None
-
-    def test_callable_sink(self):
-        received = []
-        tracer = Tracer(sink=received.append)
-        with tracer.span("s"):
-            pass
-        assert [e["event"] for e in received] == ["span_begin", "span_end"]
-        assert tracer.events == []  # nothing buffered when a sink is set
 
     def test_thread_local_stacks(self):
         tracer = Tracer()
@@ -107,41 +98,63 @@ class TestFileSink:
         tracer.close()
 
 
+@pytest.fixture(scope="module")
+def traced_kinds():
+    """``{span name: kind}`` over a traced load → fit → recommend → explain."""
+    from repro.core import RRRETrainer, explain_item, fast_config, recommend_items
+    from repro.data import load_dataset, train_test_split
+
+    tracer = Tracer()
+    with use_tracer(tracer):
+        dataset = load_dataset("yelpchi", seed=0, scale=0.1)
+        train, test = train_test_split(dataset, seed=0)
+        trainer = RRRETrainer(fast_config(epochs=1, seed=0, pretrain_words=True))
+        trainer.fit(dataset, train, test, telemetry=True)
+        recommend_items(trainer, user_id=0, top_k=3)
+        explain_item(trainer, item_id=0)
+    return {e["name"]: e["kind"] for e in tracer.events if e["event"] == "span_begin"}
+
+
 class TestKindInference:
+    """Every span carries its kind, given where the span is opened."""
+
     @pytest.mark.parametrize(
         "path,kind",
         [
             ("fit.epoch.eval", "eval"),
             ("fit.epoch.train", "epoch"),
-            ("fit.epoch", "epoch"),
             ("fit.vocab", "data"),
             ("fit.pretrain_words", "data"),
             ("data.load_dataset", "data"),
             ("data.generate_platform", "data"),
             ("rank.recommend_items", "rank"),
             ("rank.explain_item", "rank"),
-            ("fit", "phase"),
         ],
     )
-    def test_rules(self, path, kind):
-        assert kind_for_path(path) == kind
+    def test_rules(self, traced_kinds, path, kind):
+        assert traced_kinds[path] == kind
 
 
-class TestTracingTimerRegistry:
-    def test_timer_scopes_emit_spans(self):
+class TestObserverPhases:
+    def test_phases_emit_spans_on_the_ambient_tracer(self):
         tracer = Tracer()
-        registry = TracingTimerRegistry(tracer)
-        with registry.timer("fit"):
-            with registry.timer("epoch.train"):
+        with use_tracer(tracer):
+            observer = RunObserver(telemetry=True)
+        assert observer.tracer is tracer
+        with observer.phase("fit.epoch.train", "epoch"):
+            with observer.phase("fit.checkpoint", "phase"):
                 pass
         begins = [e for e in tracer.events if e["event"] == "span_begin"]
-        assert [e["name"] for e in begins] == ["fit", "fit.epoch.train"]
-        assert begins[1]["kind"] == "epoch"
+        assert [(e["name"], e["kind"]) for e in begins] == [
+            ("fit.epoch.train", "epoch"),
+            ("fit.checkpoint", "phase"),
+        ]
         assert begins[1]["parent"] == begins[0]["span"]
-        # The timing side still works like a plain TimerRegistry.
-        snapshot = registry.snapshot()
-        assert set(snapshot) == {"fit", "fit.epoch.train"}
-        assert snapshot["fit"]["count"] == 1
+        # The report's timers are the spans' durations, keyed by name.
+        ends = {e["name"]: e["duration"] for e in tracer.events if e["event"] == "span_end"}
+        timers = observer.finish([]).timers
+        assert set(timers) == {"fit.epoch.train", "fit.checkpoint"}
+        assert timers["fit.checkpoint"]["total"] == ends["fit.checkpoint"]
 
 
 class TestAmbientTracer:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import RRRETrainer
-from repro.obs import Telemetry, read_events
+from repro.obs import Tracer, read_events, use_tracer
 from repro.resilience import (
     ChaosEngine,
     DivergenceError,
@@ -133,15 +133,16 @@ class TestObservabilityIntegration:
         events_path = tmp_path / "run.jsonl"
         chaos = ChaosEngine(seed=0).nan_grad_at(epoch=2, step=1)
         trainer = RRRETrainer(tiny_config())
-        trainer.fit(
-            dataset,
-            train,
-            test,
-            telemetry=Telemetry(events_path=str(events_path)),
-            checkpoint_dir=tmp_path / "ckpts",
-            guard=True,
-            chaos=chaos,
-        )
+        with Tracer(events_path) as tracer, use_tracer(tracer):
+            trainer.fit(
+                dataset,
+                train,
+                test,
+                telemetry=True,
+                checkpoint_dir=tmp_path / "ckpts",
+                guard=True,
+                chaos=chaos,
+            )
         points = [e["name"] for e in read_events(events_path) if e["event"] == "point"]
         assert "rollback" in points
         assert "checkpoint" in points
