@@ -3,75 +3,22 @@
 Paper shape to reproduce: RRRE attains the lowest bRMSE on every
 dataset, RRRE⁻ (plain MSE) trails RRRE, and DER struggles because users
 average fewer than three reviews.
-
-Alongside the table, the artifact records the training-throughput
-baseline the ROADMAP calls out: reviews/sec for one RRRE fit in
-interpreted vs planned mode (``fit(plan=True)``), so the compiled hot
-path's speedup lands in the committed trajectory where
-``scripts/check_bench.py`` gates it, not just in a PR description.
 """
-
-import time
 
 from conftest import run_once
 
-from repro.core import RRRETrainer
-from repro.data import load_dataset, train_test_split
 from repro.eval import (
     PAPER_TABLE3,
-    bench_rrre_config,
     compare_table,
     render_comparison,
     run_table3,
 )
 
 
-def measure_training_throughput(scale: float, epochs: int = 6, seed: int = 0) -> dict:
-    """Reviews/sec for one RRRE fit, interpreted vs ``plan=True``.
-
-    Word pretraining is disabled so the measurement isolates the hot
-    path the plan compiles (encoders + attention + FM head), and both
-    modes fit the identical config from the identical seed — the parity
-    suite (``tests/plan/``) holds them to 1e-9 agreement.
-    """
-    dataset = load_dataset("yelpchi", seed=seed, scale=scale)
-    train, _ = train_test_split(dataset, seed=seed)
-    config = bench_rrre_config(epochs=epochs, seed=seed, pretrain_words=False)
-    result = {"reviews": len(train), "epochs": epochs}
-    for label, plan in (("interpreted", False), ("planned", True)):
-        start = time.perf_counter()
-        RRRETrainer(config).fit(dataset, train, plan=plan)
-        seconds = time.perf_counter() - start
-        result[label] = {
-            "seconds": seconds,
-            "reviews_per_sec": epochs * len(train) / seconds,
-        }
-    result["speedup"] = (
-        result["planned"]["reviews_per_sec"]
-        / result["interpreted"]["reviews_per_sec"]
-    )
-    return result
-
-
-def _table3_with_throughput(seeds, scale, epochs):
-    report = run_table3(seeds=seeds, scale=scale, epochs=epochs)
-    throughput = measure_training_throughput(scale)
-    report.data["training_throughput"] = throughput
-    report.rendered += (
-        f"\n\ntraining throughput (reviews/sec, {throughput['epochs']} epochs):"
-        f"\n  interpreted: {throughput['interpreted']['reviews_per_sec']:8.0f}"
-        f" ({throughput['interpreted']['seconds']:.2f} s)"
-        f"\n  planned    : {throughput['planned']['reviews_per_sec']:8.0f}"
-        f" ({throughput['planned']['seconds']:.2f} s)"
-        f"\n  speedup    : {throughput['speedup']:.2f}x"
-    )
-    return report
-
-
 def test_table3(benchmark, bench_params):
     report = run_once(
         benchmark,
-        _table3_with_throughput,
+        run_table3,
         artifact_name="table3_rating",
         seeds=bench_params["seeds"],
         scale=bench_params["scale"],

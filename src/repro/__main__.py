@@ -22,7 +22,6 @@ Usage::
     python -m repro analyze --concurrency --dynamic  # + race-detector exercise
     python -m repro plan                   # compile the execution plan, print it
     python -m repro plan --explain         # + inferred shapes and buffer schedule
-    python -m repro train --plan           # fit on the compiled hot path
     python -m repro export-embeddings --out store/  # train + export serving store
     python -m repro serve --store store/ --port 8080  # online top-K HTTP API
 
@@ -36,12 +35,10 @@ renders such an event file as a live status board.  For table/figure
 experiments ``--report-json`` dumps the regenerated artifact's raw
 numbers instead.
 
-``plan`` compiles the plan-then-execute hot path for the default model
-(see ``docs/execution_plan.md``) and prints what got planned — the
-fused recurrent executors, the attention softmax fusion, and with
-``--explain`` the inferred symbolic shapes plus each executor's pooled
-buffer schedule.  ``train --plan`` runs the actual fit on that compiled
-hot path (planned and interpreted mode agree to ≤1e-9).
+``plan`` prints the plan-then-execute hot path every RRRE model trains
+and predicts on (see ``docs/execution_plan.md``) — the fused recurrent
+executors, the attention softmax fusion, and with ``--explain`` the
+inferred symbolic shapes plus each executor's pooled buffer schedule.
 
 ``analyze`` runs the static-analysis suite (see ``docs/analysis.md``):
 symbolic shape validation of the default config, autograd-graph
@@ -253,12 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         "buffer schedule of every planned module",
     )
     parser.add_argument(
-        "--plan",
-        action="store_true",
-        help="for 'train': fit on the compiled plan-then-execute hot path "
-        "(see docs/execution_plan.md; results match interpreted to 1e-9)",
-    )
-    parser.add_argument(
         "--follow",
         action="store_true",
         help="for 'watch': keep tailing the event file until run_end",
@@ -404,7 +395,6 @@ def run_train(
     checkpoint_dir: Optional[str] = None,
     resume: bool = False,
     checkpoint_every: int = 1,
-    plan: bool = False,
 ) -> None:
     """One telemetry-enabled RRRE fit; prints (and optionally writes) the report.
 
@@ -441,11 +431,7 @@ def run_train(
                 resume=resume,
                 checkpoint_every=checkpoint_every,
                 guard=bool(checkpoint_dir),
-                plan=plan,
             )
-            if plan and trainer.plan is not None:
-                print(trainer.plan.describe())
-                print()
             # Exercise the re-ranking path so the trace carries rank spans.
             recommend_items(trainer, user_id=0, top_k=5)
     finally:
@@ -471,25 +457,23 @@ def run_plan(
     explain: bool = False,
     report_json: Optional[str] = None,
 ) -> int:
-    """Compile the execution plan for the default model and print it.
+    """Print the execution plan of the default model.
 
     Builds the same model ``train`` would fit (vocabulary and entity
-    counts come from the dataset preset), compiles its plan, and prints
-    :meth:`repro.plan.ExecutionPlan.describe`.  ``explain`` adds the
-    inferred symbolic output shapes and the pooled buffer schedule per
-    planned module — the reference for reading ``docs/execution_plan.md``
-    against a live model.
+    counts come from the dataset preset), which compiles and installs
+    its plan, and prints :meth:`repro.plan.ExecutionPlan.describe`.
+    ``explain`` adds the inferred symbolic output shapes and the pooled
+    buffer schedule per planned module — the reference for reading
+    ``docs/execution_plan.md`` against a live model.
     """
     from .core import RRRETrainer, fast_config
     from .data import load_dataset, train_test_split
-    from .plan import compile_plan
 
     trainer = RRRETrainer(fast_config())
     dataset = load_dataset(dataset_name, seed=0, scale=scale)
     train, _ = train_test_split(dataset, seed=0)
     trainer._prepare(dataset, train)
-    cfg = trainer.config
-    plan = compile_plan(trainer.model, batch_size=cfg.batch_size, seq_len=cfg.max_len)
+    plan = trainer.plan
     print(plan.describe(explain=explain))
     if report_json:
         from .obs.report import SCHEMA_VERSION, _jsonable
@@ -763,7 +747,6 @@ def main(argv=None) -> int:
             checkpoint_dir=args.checkpoint_dir,
             resume=args.resume,
             checkpoint_every=args.checkpoint_every,
-            plan=args.plan,
         )
         return 0
     if args.experiment == "plan":

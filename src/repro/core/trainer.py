@@ -112,8 +112,8 @@ class RRRETrainer:
         self.metrics_registry: Optional[MetricsRegistry] = None
         #: Health monitors of the last telemetry-enabled :meth:`fit`.
         self.health: Optional[HealthSuite] = None
-        #: The compiled :class:`repro.plan.ExecutionPlan` of the last
-        #: ``fit(..., plan=True)`` call (None in interpreted mode).
+        #: The installed :class:`repro.plan.ExecutionPlan` the model runs
+        #: on (see ``docs/execution_plan.md``); set with the model.
         self.plan = None
         self._profiles: Optional[ProfileTable] = None
 
@@ -132,7 +132,6 @@ class RRRETrainer:
         guard: Union[None, bool, DivergencePolicy, DivergenceGuard] = None,
         chaos: Optional[ChaosEngine] = None,
         validate: Optional[str] = None,
-        plan: bool = False,
     ) -> "RRRETrainer":
         """Train on ``train``; optionally evaluate on ``test`` per epoch.
 
@@ -171,15 +170,6 @@ class RRRETrainer:
         compute is spent; the eval-mode probe leaves the training RNG
         streams untouched, so results are bitwise-identical with the
         hook on or off.
-
-        ``plan=True`` compiles the model's hot path before the first
-        epoch (see ``docs/execution_plan.md``): recurrent layers run as
-        single-tape-node executors with batched GEMMs and fused in-place
-        kernels over pooled buffers, and attention softmax+mask fuse
-        into one node.  Plan compilation is a behavioral swap only —
-        parameters, checkpoints, and resume semantics are unchanged, and
-        planned results match interpreted ones to ≤1e-9 (``tests/plan/``).
-        The compiled plan is kept on :attr:`plan` for inspection.
         """
         cfg = self.config
         if checkpoint_every < 1:
@@ -203,14 +193,6 @@ class RRRETrainer:
         rng = np.random.default_rng(cfg.seed)
         with observer.phase("fit.vocab", "data"):
             self._prepare(dataset, train)
-        self.plan = None
-        if plan:
-            from repro.plan import compile_plan
-
-            with observer.phase("fit.plan_compile", "phase"):
-                self.plan = compile_plan(
-                    self.model, batch_size=cfg.batch_size, seq_len=cfg.max_len
-                ).install()
         if validate:
             from repro.analysis import preflight
 
@@ -278,6 +260,7 @@ class RRRETrainer:
             [asdict(record) for record in self.history],
             **self._report_sections(dataset, train),
         )
+        self._release_scratch()
         return self
 
     def _report_sections(self, dataset: ReviewDataset, train: ReviewSubset) -> Dict:
@@ -306,7 +289,10 @@ class RRRETrainer:
 
         The token table (vocabulary from ``dataset``), the latest-``m``
         review slots and the clip range of predicted ratings (from
-        ``train``), then :class:`RRRE` sized to them.  Deterministic, so
+        ``train``), then :class:`RRRE` sized to them, installed on its
+        compiled :attr:`plan`: the recurrent encoders and the attention
+        softmax run as fused executors over pooled scratch, matching the
+        interpreted layers to ≤1e-9 (``tests/plan/``).  Deterministic, so
         :meth:`load` rebuilds exactly what :meth:`fit` trained on.
         """
         cfg = self.config
@@ -325,6 +311,20 @@ class RRRETrainer:
             num_items=dataset.num_items,
             vocab_size=len(self.table.vocab),
         )
+        self.plan = None
+        # Only a CNN/mean encoder under mean pooling has nothing to plan.
+        if cfg.encoder == "bilstm" or cfg.pooling == "attention":
+            from repro.plan import compile_plan
+
+            self.plan = compile_plan(
+                self.model, batch_size=cfg.batch_size, seq_len=cfg.max_len
+            ).install()
+
+    def _release_scratch(self) -> None:
+        """Drop the plan's pooled scratch, so an idle trainer holds none;
+        the next forward regrows it."""
+        if self.plan is not None:
+            self.plan.pool.clear()
 
     def _pretrain_words(self, dataset: ReviewDataset, train: ReviewSubset) -> None:
         """Initialise the word embedding with skip-gram vectors of the train reviews."""
@@ -527,6 +527,7 @@ class RRRETrainer:
         table = self._profiles
         if table is None or not table.is_current(self.model, self.slots, self.table):
             table = ProfileTable.build(self.model, self.slots, self.table, self._rating_range)
+            self._release_scratch()
             self._profiles = table
         return table
 

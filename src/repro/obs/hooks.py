@@ -177,12 +177,15 @@ class ModuleProfiler:
 
     # -- results -------------------------------------------------------
     def layer_profiles(self) -> List[Dict[str, Any]]:
-        """Per-layer stats as dicts, sorted by forward time (descending)."""
+        """Per-layer stats of the layers that ran, sorted by forward time
+        (descending); a layer never called (e.g. one a fused parent
+        bypasses) has no row."""
         return [
             record.to_dict()
             for record in sorted(
                 self._records.values(), key=lambda r: -r.forward_seconds
             )
+            if record.calls
         ]
 
     def reset(self) -> None:

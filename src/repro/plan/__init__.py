@@ -16,11 +16,11 @@ forward pass.  This package compiles the hot path instead:
   version-counter discipline from :mod:`repro.analysis.graph` is what
   proves each in-place write safe.
 
-Surfaces: ``RRRETrainer.fit(plan=True)`` and ``python -m repro plan
---explain``.  Planned and interpreted mode agree to ≤1e-9 on every
-layer and on the full RRRE model (``tests/plan/``); the measured
-speedup is recorded in ``benchmarks/out/BENCH_table3_rating.json``.
-See ``docs/execution_plan.md``.
+Every RRRE model runs planned: ``RRRETrainer`` compiles and installs
+the plan when it builds the model, and ``python -m repro plan
+--explain`` prints it.  The interpreted layers are the reference:
+planned and interpreted mode agree to ≤1e-9 on every layer and on the
+full RRRE model (``tests/plan/``).  See ``docs/execution_plan.md``.
 """
 
 from .buffers import BufferPool

@@ -4,11 +4,17 @@ model forward, rebuilds on every weight change, reuse otherwise."""
 import numpy as np
 import pytest
 
-from repro.core import RRRETrainer, SemiSupervisedRRRETrainer, fast_config
+from repro.core import (
+    RRRETrainer,
+    SemiSupervisedRRRETrainer,
+    fast_config,
+    item_profile_attention,
+)
 from repro.core.profiles import ProfileTable, forward_scores
 from repro.data import load_dataset, train_test_split
 from repro.nn import Adam
 from repro.obs import Tracer, use_tracer
+from repro.serve import export_store
 
 
 @pytest.fixture(scope="module")
@@ -48,11 +54,6 @@ class TestParity:
     def test_default_fit(self, fitted):
         assert_matches_forward(fitted)
 
-    def test_planned_fit(self, data):
-        dataset, train, _ = data
-        trainer = RRRETrainer(fast_config(epochs=1, seed=5)).fit(dataset, train, plan=True)
-        assert_matches_forward(trainer)
-
     def test_semi_supervised_fit(self, data):
         dataset, train, test = data
         trainer = SemiSupervisedRRRETrainer(
@@ -69,6 +70,48 @@ class TestParity:
         users, items = all_pairs(fitted)
         for got, want in zip(loaded.predict_pairs(users, items), fitted.predict_pairs(users, items)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestPlannedTrainer:
+    """Every trainer runs on its installed plan; an idle one holds no scratch."""
+
+    @staticmethod
+    def pool_bytes(trainer):
+        return trainer.plan.pool.stats()["bytes"]
+
+    def test_idle_trainer_holds_no_scratch(self, data):
+        dataset, train, _ = data
+        trainer = RRRETrainer(fast_config(epochs=1, seed=5)).fit(dataset, train)
+        assert trainer.plan.installed
+        assert self.pool_bytes(trainer) == 0
+        encoder = next(e.executor for e in trainer.plan.entries if e.kind == "bilstm")
+        calls = encoder.generation
+        trainer.profiles()
+        assert encoder.generation > calls  # the build ran the planned encoder
+        assert self.pool_bytes(trainer) == 0
+        export_store(trainer)  # its parity check runs a pairwise forward
+        assert self.pool_bytes(trainer) == 0
+        item_profile_attention(trainer, 0)
+        assert self.pool_bytes(trainer) == 0
+
+    def test_semi_supervised_and_loaded_trainers_are_planned(self, data, fitted, tmp_path):
+        dataset, train, _ = data
+        semi = SemiSupervisedRRRETrainer(fast_config(epochs=1, seed=5), rounds=1).fit(
+            dataset, train
+        )
+        assert semi.plan.installed
+        assert self.pool_bytes(semi) == 0
+        path = tmp_path / "model.npz"
+        fitted.save(path)
+        loaded = RRRETrainer(fast_config(epochs=1, seed=5)).load(path, dataset, train)
+        assert loaded.plan.installed
+
+    def test_nothing_to_plan_trains_interpreted(self, data):
+        dataset, train, _ = data
+        config = fast_config(epochs=1, seed=5, encoder="cnn", pooling="mean")
+        trainer = RRRETrainer(config).fit(dataset, train)
+        assert trainer.plan is None
+        assert_matches_forward(trainer)
 
 
 class TestStaleness:

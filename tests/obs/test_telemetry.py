@@ -72,16 +72,11 @@ class TestTrainerTelemetry:
         assert trainer.report is None
         assert nn.Module._active_profiler is None
 
-    @pytest.mark.parametrize("plan", [False, True], ids=["interpreted", "planned"])
-    def test_history_unaffected_by_telemetry(self, split, telemetry_trainer, plan):
+    def test_history_unaffected_by_telemetry(self, split, telemetry_trainer):
         """Telemetry must not change training numerics: bitwise, not approx."""
         dataset, train, test = split
-        plain = RRRETrainer(fast_config(epochs=2, seed=0)).fit(dataset, train, test, plan=plan)
+        plain = RRRETrainer(fast_config(epochs=2, seed=0)).fit(dataset, train, test)
         hooked = telemetry_trainer
-        if plan:
-            hooked = RRRETrainer(fast_config(epochs=2, seed=0)).fit(
-                dataset, train, test, telemetry=True, plan=True
-            )
         plain_state, hooked_state = plain.model.state_dict(), hooked.model.state_dict()
         assert sorted(plain_state) == sorted(hooked_state)
         for key in plain_state:
@@ -95,6 +90,13 @@ class TestTrainerTelemetry:
         bilstm = [l for l in hooked.report.layers if l["name"].endswith(".bilstm")]
         assert len(bilstm) == 2
         assert all(l["backward_seconds"] > 0 for l in bilstm), bilstm
+
+    def test_layer_rows_are_layers_that_ran(self, telemetry_trainer):
+        """The planned BiLSTM bypasses its LSTM children: they get no row."""
+        layers = telemetry_trainer.report.layers
+        names = [l["name"] for l in layers]
+        assert not [n for n in names if "forward_lstm" in n or "backward_lstm" in n]
+        assert all(l["calls"] > 0 for l in layers)
 
     def test_report_carries_health_and_metrics(self, telemetry_trainer):
         report = telemetry_trainer.report
