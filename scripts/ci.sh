@@ -13,7 +13,8 @@
 #      spans) count both epochs.  The report's layer rows are layers that
 #      ran (none with 0 calls), and both BiLSTM rows record backward
 #      time, i.e. the profiler's probes pass the gradient on into the
-#      planned layers every fit runs on.
+#      planned layers every fit runs on.  `plan --explain` on the same
+#      preset exits 0 and lists both review encoders as [bilstm] entries.
 #   4. chaos recovery smoke — train with an injected mid-epoch crash,
 #      resume from the surviving checkpoints (exercising the CLI
 #      --checkpoint-dir/--resume path too), and assert the resumed
@@ -100,6 +101,12 @@ assert "# TYPE repro_epoch_seconds histogram" in prom
 
 print("smoke run OK:", len(events), "events,", len(kinds), "span kinds")
 PY
+# The compiled plan as `plan --explain` prints it: one [bilstm] entry per
+# review encoder.
+python -m repro plan --dataset yelpchi --scale 0.15 --explain > "$SMOKE_DIR/plan.log"
+bilstm_entries=$(grep -c "\[bilstm\]" "$SMOKE_DIR/plan.log" || true)
+[ "$bilstm_entries" -eq 2 ] \
+    || { echo "plan --explain lists $bilstm_entries [bilstm] entries, expected 2"; exit 1; }
 
 echo "== chaos recovery smoke =="
 python - "$SMOKE_DIR" <<'PY'

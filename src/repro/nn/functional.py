@@ -445,10 +445,17 @@ def take_rows(weight: ArrayLike, indices: np.ndarray) -> Tensor:
     """
     weight = ensure_tensor(weight)
     indices = np.asarray(indices, dtype=np.int64)
+    rows, cols = weight.shape
 
     def backward(g: np.ndarray):
-        full = np.zeros_like(weight.data)
-        np.add.at(full, indices.reshape(-1), g.reshape(-1, weight.shape[1]))
+        # One bincount per column adds in index order, like np.add.at
+        # (so the result is bitwise equal), at a fraction of its cost.
+        flat = indices.reshape(-1)
+        flat = np.where(flat < 0, flat + rows, flat)
+        g = g.reshape(-1, cols)
+        full = np.empty_like(weight.data)
+        for j in range(cols):
+            full[:, j] = np.bincount(flat, weights=g[:, j], minlength=rows)
         return (full,)
 
     return Tensor(

@@ -21,7 +21,7 @@ the tape may still be alive.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -69,6 +69,10 @@ class BufferPool:
     def nbytes(self) -> int:
         """Total bytes currently held by the pool."""
         return sum(b.nbytes for b in self._buffers.values())
+
+    def names(self) -> List[str]:
+        """Sorted names of the pooled buffers."""
+        return sorted(self._buffers)
 
     def __len__(self) -> int:
         return len(self._buffers)

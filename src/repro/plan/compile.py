@@ -166,6 +166,7 @@ def compile_plan(
             skip.add(id(module.backward_lstm))
             H = module.forward_lstm.hidden_size
             D = module.forward_lstm.cell.input_size
+            K = D + 1 + H
             x_spec = S.ShapeSpec((batch, length, D), "float64")
             steps_spec, summary_spec = module.shape_spec(x_spec, None)
             entries.append(
@@ -176,18 +177,26 @@ def compile_plan(
                     executor=PlannedBiLSTM(module, pool, label),
                     summary=(
                         f"BiLSTM(in={D}, hidden={H}): both directions in one "
-                        f"tape node; input GEMM (B*L,{D})@({D},{8 * H}) once, "
-                        f"per-step batched (2,B,{H})@(2,{H},{4 * H}) + fused "
-                        f"gate/cell kernels over both directions"
+                        f"tape node, feature-major; per step one GEMM "
+                        f"(2,{4 * H},{K})@(2,{K},B) of [x_t; 1; h_prev] "
+                        f"straight into the activations + one tanh over the "
+                        f"gate block"
                     ),
                     shapes=(f"steps {steps_spec}", f"summary {summary_spec}"),
+                    # "<name>[,<name>...] <shape>": the names are the
+                    # executor's pooled buffers (tests/plan keeps them in
+                    # sync with the pool).
                     buffers=(
-                        f"gx (B,L,{8 * H})",
-                        f"acts (L,2,B,{4 * H})",
-                        f"h,c (L+1,2,B,{H}) x2",
-                        f"tanh_c (L,2,B,{H})",
-                        f"backward: dgates (L,2,B,{4 * H}), dgt (B,L,{8 * H}), "
-                        f"6x (2,B,{H}) scratch",
+                        f"z (L+1,2,{K},B) [x_t; 1; h_prev] per step",
+                        f"acts (L,2,{4 * H},B)",
+                        f"c (L+1,2,{H},B)",
+                        f"tanh_c (L,2,{H},B)",
+                        f"tmp (2,{H},B)",
+                        f"gs (L,2,{H},B) backward",
+                        f"dacts (L,2,{4 * H},B) backward",
+                        f"dxs (L,2,{D},B) backward",
+                        f"dh,dc,dh_new,dc_new,hs (2,{H},B) backward",
+                        f"one_minus (2,{3 * H},B) backward",
                     ),
                 )
             )

@@ -1,27 +1,35 @@
-"""Planned executors for the recurrent hot path (LSTM / GRU).
+"""Planned executors for the recurrent hot path (LSTM / BiLSTM / GRU).
 
 The interpreted :class:`repro.nn.LSTM` records ~20 tape nodes per
 timestep per direction — concat, GEMM, four gate splits, four
 activations, the cell/hidden updates, and two mask selects — so one
 RRRE forward over review text builds thousands of Python closures.  The
-planned executor runs the *whole recurrence as one tape node*:
+planned executors run the *whole recurrence as one tape node*:
 
-* the input contribution of every timestep folds into a single
-  ``(B·L, D) @ (D, 4H)`` GEMM up front (plus the bias add), so each
-  step pays exactly one small ``(B, H) @ (H, 4H)`` GEMM for the hidden
-  contribution instead of a per-gate/per-step concat + GEMM;
+* :class:`PlannedLSTM` and :class:`PlannedGRU` fold the input
+  contribution of every timestep into a single ``(B·L, D) @ (D, 4H)``
+  GEMM up front (plus the bias add), so each step pays exactly one
+  small ``(B, H) @ (H, 4H)`` GEMM for the hidden contribution;
+* :class:`PlannedBiLSTM`, the RRRE review encoder, runs both directions
+  in one step loop over feature-major ``(…, features, B)`` storage, so
+  each gate is one contiguous slab per direction and an elementwise op
+  is two long inner loops rather than ``2B`` rows of ``H`` floats; each
+  step is one GEMM of ``[x_t; 1; h_prev]`` into the activation buffer;
 * gate activations, the cell update, and the mask carry-forward run as
   fused in-place ufunc chains (:mod:`repro.plan.fused`) over pooled
   scratch (:class:`repro.plan.buffers.BufferPool`);
 * backward replays the stored activations with hand-derived BPTT
-  formulas; the per-step work is one ``(B, 4H) @ (4H, H)`` GEMM, and
-  all parameter/input gradients finish as a handful of large GEMMs.
+  formulas; the per-step work is one hidden-weight GEMM, and all
+  parameter/input gradients finish as a handful of large (batched)
+  GEMMs.
 
 Numerical parity: every expression either reuses the interpreted op's
-exact form or reorders only across bitwise-safe boundaries.  The one
-true reassociation — computing gate pre-activations as
-``(x@Wx + b) + h@Wh`` instead of ``concat([x, h])@W + b`` — changes
-summation order inside a dot product and is covered by the ≤1e-9 parity
+exact form or reorders only across bitwise-safe boundaries (commuted
+IEEE-754 operations; the BiLSTM's halved sigmoid-row weights, since
+scaling by 0.5 is exact).  The true reassociations — gate
+pre-activations summed in another order than ``concat([x, h])@W + b``,
+parameter grads summed over steps in one batched reduction — change
+summation order inside dot products and are covered by the ≤1e-9 parity
 suite in ``tests/plan/``.
 
 Safety: outputs and returned gradients are freshly allocated (pooled
@@ -254,15 +262,21 @@ class PlannedLSTM:
 class PlannedBiLSTM:
     """Compiled executor for a whole :class:`repro.nn.BiLSTM`.
 
-    Where :class:`PlannedLSTM` compiles one direction, this executor
-    runs *both* directions through a single step loop: the per-step
-    hidden GEMM becomes one batched ``(2, B, H) @ (2, H, 4H)`` matmul,
-    the input contributions of both directions fold into one
-    ``(B·L, D) @ (D, 8H)`` GEMM over the column-concatenated weights,
-    and every fused elementwise kernel covers both directions' blocks
-    in one call.  Step index ``s`` advances the forward direction at
-    time ``s`` and the reverse direction at time ``L-1-s``, so the loop
-    body and iteration count are those of a single LSTM.
+    Both directions run through one step loop: step ``s`` advances the
+    forward direction at time ``s`` and the reverse one at ``L-1-s``.
+    Storage is feature-major (states ``(L+1, 2, H, B)``, gate
+    activations ``(L, 2, 4H, B)``), so each gate is one contiguous
+    ``H×B`` slab per direction and every elementwise op runs two long
+    inner loops instead of ``2B`` rows of ``H`` floats; numpy's per-row
+    overhead, not arithmetic, dominated the batch-major layout.  The
+    step input per direction is ``z = [x_t; 1; h_prev]`` (``K = D+1+H``
+    rows), so each step is one ``(2, 4H, K) @ (2, K, B)`` GEMM, bias
+    included, written straight into the activations.  Gate rows run
+    ``[i, f, o, g]`` with the sigmoid rows' weights pre-halved (exact),
+    so one ``np.tanh`` covers the whole block and ``+1, ×0.5`` finishes
+    the three sigmoids.  Backward runs in the same layout; ``dx`` and
+    the weight grads (one ``dpre @ z^T`` per step and direction, summed)
+    are batched matmuls over all steps.
 
     Call signature mirrors ``BiLSTM.forward``: ``(x, mask) ->
     (steps, summary)`` with ``steps`` ``(B, L, 2H)`` (forward features
@@ -283,6 +297,7 @@ class PlannedBiLSTM:
         cell_r = self.module.backward_lstm.cell
         H = cell_f.hidden_size
         D = cell_f.input_size
+        K = D + 1 + H
         W_f, b_f = cell_f.weight, cell_f.bias
         W_r, b_r = cell_r.weight, cell_r.bias
         batch, length, _ = x.shape
@@ -302,136 +317,114 @@ class PlannedBiLSTM:
         )
 
         pool, name = self.pool, self.name
-        # Column-concatenated input weights / stacked hidden weights:
-        # cheap per-call copies so optimizer updates are picked up.
-        Wx = np.concatenate([W_f.data[:D], W_r.data[:D]], axis=1)  # (D, 8H)
-        Wh = np.stack([W_f.data[D:], W_r.data[D:]])  # (2, H, 4H)
-        bias = np.concatenate([b_f.data, b_r.data])  # (8H,)
-        x_flat = x.data.reshape(batch * length, D)
+        # Per direction W is [Wx; b; Wh] with gate columns [i, f, o, g];
+        # swapping the g/o blocks is its own inverse, so ``order`` also
+        # maps the gradients back.  WT has the sigmoid rows halved.
+        order = np.r_[: 2 * H, 3 * H : 4 * H, 2 * H : 3 * H]
+        W = np.stack(
+            [np.vstack([W_f.data[:D], b_f.data, W_f.data[D:]]),
+             np.vstack([W_r.data[:D], b_r.data, W_r.data[D:]])]
+        )[..., order]  # (2, K, 4H)
+        WT = W.transpose(0, 2, 1).copy()  # (2, 4H, K)
+        WT[:, : 3 * H] *= 0.5
 
-        # One GEMM for both directions' input contributions.
-        gx = pool.get(f"{name}.gx", (batch, length, 8 * H))
-        np.matmul(x_flat, Wx, out=gx.reshape(batch * length, 8 * H))
-        gx += bias
-
-        # Direction-major stored activations: axis 0 = step index,
-        # axis 1 = direction (0 forward, 1 reverse).
-        acts = pool.get(f"{name}.acts", (length, 2, batch, 4 * H))
-        tanh_c = pool.get(f"{name}.tanh_c", (length, 2, batch, H))
-        h = pool.get(f"{name}.h", (length + 1, 2, batch, H))
-        c = pool.get(f"{name}.c", (length + 1, 2, batch, H))
+        # z[s] per direction, feature-major; direction 1 reads time
+        # L-1-s.  h is z's state slice.
+        z = pool.get(f"{name}.z", (length + 1, 2, K, batch))
+        z[:length, 0, :D] = x.data.transpose(1, 2, 0)
+        z[:length, 1, :D] = x.data[:, ::-1].transpose(1, 2, 0)
+        z[:, :, D] = 1.0
+        h = z[:, :, D + 1 :]
         h[0].fill(0.0)
+        c = pool.get(f"{name}.c", (length + 1, 2, H, batch))
         c[0].fill(0.0)
-        c_new = pool.get(f"{name}.c_new", (2, batch, H))
-        h_new = pool.get(f"{name}.h_new", (2, batch, H))
-        ig = pool.get(f"{name}.ig", (2, batch, H))
-        # Step-indexed masks for both directions, built in two strided
-        # copies (forward reads time s, reverse reads time L-1-s).
-        mask2 = np.empty((length, 2, batch, 1), dtype=bool)
-        mask2[:, 0, :, 0] = mask_arr.T
-        mask2[:, 1, :, 0] = mask_arr.T[::-1]
-        notmask2 = ~mask2
+        # Step masks at state shape: live columns take the new state,
+        # held (masked) columns carry the previous one.
+        live = np.empty((length, 2, H, batch), dtype=bool)
+        live[:, 0] = mask_arr.T[:, None]
+        live[:, 1] = mask_arr.T[::-1, None]
+        held = ~live
+
+        acts = pool.get(f"{name}.acts", (length, 2, 4 * H, batch))
+        gate_views = acts.reshape(length, 2, 4, H, batch).swapaxes(1, 2)
+        tanh_c = pool.get(f"{name}.tanh_c", (length, 2, H, batch))
+        tmp = pool.get(f"{name}.tmp", (2, H, batch))
+        for s in range(length):
+            np.matmul(WT, z[s], out=acts[s])
+            np.tanh(acts[s], out=acts[s])
+            acts[s, :, : 3 * H] += 1.0
+            acts[s, :, : 3 * H] *= 0.5
+            i, f, o, g = gate_views[s]
+            # c' = f*c + i*g ; h' = o*tanh(c') ; held columns keep c, h.
+            np.multiply(f, c[s], out=c[s + 1])
+            np.multiply(i, g, out=tmp)
+            c[s + 1] += tmp
+            np.tanh(c[s + 1], out=tanh_c[s])
+            np.multiply(o, tanh_c[s], out=h[s + 1])
+            np.putmask(h[s + 1], held[s], h[s])
+            np.putmask(c[s + 1], held[s], c[s])
 
         outputs = np.empty((batch, length, 2 * H))  # escapes into the tape
-        for s in range(length):
-            t_r = length - 1 - s
-            gates = acts[s]  # (2, B, 4H)
-            np.matmul(h[s], Wh, out=gates)
-            gates[0] += gx[:, s, : 4 * H]
-            gates[1] += gx[:, t_r, 4 * H :]
-            sigmoid_(gates[..., : 2 * H], gates[..., : 2 * H])
-            tanh_(gates[..., 2 * H : 3 * H], gates[..., 2 * H : 3 * H])
-            sigmoid_(gates[..., 3 * H :], gates[..., 3 * H :])
-            i = gates[..., :H]
-            f = gates[..., H : 2 * H]
-            g = gates[..., 2 * H : 3 * H]
-            o = gates[..., 3 * H :]
-            np.multiply(f, c[s], out=c_new)
-            np.multiply(i, g, out=ig)
-            c_new += ig
-            tanh_(c_new, tanh_c[s])
-            np.multiply(o, tanh_c[s], out=h_new)
-            select_(mask2[s], h_new, h[s], h[s + 1])
-            select_(mask2[s], c_new, c[s], c[s + 1])
-            outputs[:, s, :H] = h[s + 1, 0]
-            outputs[:, t_r, H:] = h[s + 1, 1]
+        outputs[..., :H] = h[1:, 0].transpose(2, 0, 1)
+        outputs[..., H:] = h[:0:-1, 1].transpose(2, 0, 1)
 
         executor = self
 
         def planned_bilstm(grad: np.ndarray):
             _check_versions(executor, generation, captured)
-            dgates = pool.get(f"{name}.dgates", (length, 2, batch, 4 * H))
-            dh_next = pool.zeros(f"{name}.dh", (2, batch, H))
-            dc_next = pool.zeros(f"{name}.dc", (2, batch, H))
-            dh_new = pool.get(f"{name}.dh_new", (2, batch, H))
-            dc_new = pool.get(f"{name}.dc_new", (2, batch, H))
-            tmp = pool.get(f"{name}.tmp", (2, batch, H))
-            hs = pool.get(f"{name}.hs", (2, batch, H))
-            WhT = Wh.transpose(0, 2, 1)  # (2, 4H, H)
+            gs = pool.get(f"{name}.gs", (length, 2, H, batch))
+            gs[:, 0] = grad[..., :H].transpose(1, 2, 0)
+            gs[:, 1] = grad[:, ::-1, H:].transpose(1, 2, 0)
+            dacts = pool.get(f"{name}.dacts", (length, 2, 4 * H, batch))
+            dh_next = pool.zeros(f"{name}.dh", (2, H, batch))
+            dc_next = pool.zeros(f"{name}.dc", (2, H, batch))
+            dh_new = pool.get(f"{name}.dh_new", (2, H, batch))
+            dc_new = pool.get(f"{name}.dc_new", (2, H, batch))
+            hs = pool.get(f"{name}.hs", (2, H, batch))
+            one_minus = pool.get(f"{name}.one_minus", (2, 3 * H, batch))
             for s in range(length - 1, -1, -1):
-                t_r = length - 1 - s
-                dh_next[0] += grad[:, s, :H]
-                dh_next[1] += grad[:, t_r, H:]
-                m = mask2[s]
-                notm = notmask2[s]
-                np.multiply(dh_next, m, out=dh_new)
-                dh_next *= notm
-                np.multiply(dc_next, m, out=dc_new)
-                dc_next *= notm
-                gates = acts[s]
-                i = gates[..., :H]
-                f = gates[..., H : 2 * H]
-                g = gates[..., 2 * H : 3 * H]
-                o = gates[..., 3 * H :]
+                dh_next += gs[s]
+                np.multiply(dh_next, live[s], out=dh_new)
+                np.multiply(dc_next, live[s], out=dc_new)
+                i, f, o, g = gate_views[s]
                 tc = tanh_c[s]
-                dpre = dgates[s]
-                # Same gate formulas as PlannedLSTM, on (2, B, H) blocks.
-                dpre_o = dpre[..., 3 * H :]
-                np.multiply(dh_new, tc, out=dpre_o)
-                dpre_o *= o
-                np.subtract(1.0, o, out=tmp)
-                dpre_o *= tmp
+                dpre = dacts[s]
+                # dc' += dh'*o*(1-tanh(c')^2)
                 np.multiply(dh_new, o, out=hs)
                 np.multiply(tc, tc, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
                 hs *= tmp
                 dc_new += hs
-                dpre_f = dpre[..., H : 2 * H]
-                np.multiply(dc_new, c[s], out=dpre_f)
-                dpre_f *= f
-                np.subtract(1.0, f, out=tmp)
-                dpre_f *= tmp
-                dpre_i = dpre[..., :H]
-                np.multiply(dc_new, g, out=dpre_i)
-                dpre_i *= i
-                np.subtract(1.0, i, out=tmp)
-                dpre_i *= tmp
-                dpre_g = dpre[..., 2 * H : 3 * H]
-                np.multiply(dc_new, i, out=dpre_g)
+                # Sigmoid rows: [dc'*g, dc'*c, dh'*tanh(c')] * s*(1-s).
+                np.multiply(dc_new, g, out=dpre[:, :H])
+                np.multiply(dc_new, c[s], out=dpre[:, H : 2 * H])
+                np.multiply(dh_new, tc, out=dpre[:, 2 * H : 3 * H])
+                dpre[:, : 3 * H] *= acts[s, :, : 3 * H]
+                np.subtract(1.0, acts[s, :, : 3 * H], out=one_minus)
+                dpre[:, : 3 * H] *= one_minus
+                # Cell candidate row: dc'*i*(1-g^2).
+                np.multiply(dc_new, i, out=dpre[:, 3 * H :])
                 np.multiply(g, g, out=tmp)
                 np.subtract(1.0, tmp, out=tmp)
-                dpre_g *= tmp
-                np.matmul(dpre, WhT, out=hs)
-                dh_next += hs
+                dpre[:, 3 * H :] *= tmp
+                # Carries to step s-1: live columns through the gates
+                # (unscaled Wh), held columns straight through.
+                np.matmul(W[:, D + 1 :], dpre, out=hs)
+                np.putmask(dh_next, live[s], hs)
                 np.multiply(dc_new, f, out=tmp)
-                dc_next += tmp
-            # Time-major gate grads with both directions side by side,
-            # then the remaining work collapses into large GEMMs.
-            dgt = pool.get(f"{name}.dgt", (batch, length, 8 * H))
-            dgt[..., : 4 * H] = dgates[:, 0].transpose(1, 0, 2)
-            dgt[..., 4 * H :] = dgates[::-1, 1].transpose(1, 0, 2)
-            dgt_flat = dgt.reshape(batch * length, 8 * H)
+                np.putmask(dc_next, live[s], tmp)
             dx = None
             if x.requires_grad:
-                dx = (dgt_flat @ Wx.T).reshape(batch, length, D)
-            dWx = x_flat.T @ dgt_flat  # (D, 8H), both directions at once
-            # Hidden weight grads: batched (H, B) @ (B, 4H) per (step,
-            # direction), summed over steps — no step-major copies.
-            dWh = np.matmul(h[:length].transpose(0, 1, 3, 2), dgates).sum(axis=0)
-            db = dgt_flat.sum(axis=0)
-            dW_f = np.concatenate([dWx[:, : 4 * H], dWh[0]], axis=0)
-            dW_r = np.concatenate([dWx[:, 4 * H :], dWh[1]], axis=0)
-            return (dx, dW_f, db[: 4 * H], dW_r, db[4 * H :])
+                dxs = pool.get(f"{name}.dxs", (length, 2, D, batch))
+                np.matmul(W[:, :D], dacts, out=dxs)
+                dx = np.empty((batch, length, D))
+                fwd, rev = dxs[:, 0], dxs[::-1, 1]
+                np.add(fwd.transpose(2, 0, 1), rev.transpose(2, 0, 1), out=dx)
+            # Gate rows back to [i, f, g, o]; rows of dW are [dWx; db; dWh].
+            dW = np.matmul(dacts, z[:length].transpose(0, 1, 3, 2)).sum(axis=0)
+            dW = dW[:, order].transpose(0, 2, 1)
+            rows = np.r_[:D, D + 1 : K]
+            return (dx, dW[0, rows], dW[0, D], dW[1, rows], dW[1, D])
 
         out = Tensor(
             outputs,

@@ -235,6 +235,24 @@ class TestLookupAndMasking:
 
         check_gradients(build, [weight])
 
+    @pytest.mark.parametrize(
+        "indices",
+        [
+            np.array([3, 3, 0, 3, 7, 0]),  # repeated
+            np.array([-1, 2, -8, 7, -1]),  # negative, aliasing positive rows
+            np.array([[1, 1, 4], [6, -2, 1]]),  # multi-dimensional
+            np.zeros((0, 2), dtype=np.int64),  # empty
+        ],
+    )
+    def test_take_rows_grad_bitwise_matches_add_at(self, indices):
+        weight = Tensor(rand(8, 5), requires_grad=True)
+        out = F.take_rows(weight, indices)
+        g = np.random.default_rng(1).normal(size=out.shape)
+        out.backward(g)
+        expected = np.zeros((8, 5))
+        np.add.at(expected, indices.reshape(-1), g.reshape(-1, 5))
+        assert np.array_equal(weight.grad, expected)
+
     def test_take_rows_shape(self):
         out = F.take_rows(Tensor(rand(10, 3)), np.array([[1, 2, 3], [4, 5, 6]]))
         assert out.shape == (2, 3, 3)

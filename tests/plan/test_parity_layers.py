@@ -81,15 +81,20 @@ def test_registry_covers_all_layers():
     assert PLANNABLE < set(LAYER_CASES)
 
 
-def _recurrent_parity(build, shape, seed=7):
+def _recurrent_parity(build, shape, seed=7, empty_rows=0, x_grad=True):
     """Run a recurrent layer planned and interpreted on larger, ragged
     batches than the gradcheck cases use (varied lengths stress the
-    masked carry-forward and the capacity-based buffer pool)."""
+    masked carry-forward and the capacity-based buffer pool).
+
+    The first ``empty_rows`` rows are fully masked; ``x_grad=False``
+    feeds an input that needs no gradient.  Returns the planned pass's parameter
+    grads."""
     B, L, D = shape
     rng = np.random.default_rng(seed)
     layer = build(rng)
     mask = np.zeros((B, L), dtype=bool)
     lengths = rng.integers(1, L + 1, size=B)
+    lengths[:empty_rows] = 0
     for row, n in enumerate(lengths):
         mask[row, :n] = True
 
@@ -99,7 +104,7 @@ def _recurrent_parity(build, shape, seed=7):
             p.zero_grad()  # grads accumulate across the two passes otherwise
         x = Tensor(
             np.random.default_rng(seed + 1).normal(size=(B, L, D)),
-            requires_grad=True,
+            requires_grad=x_grad,
         )
         plan = compile_plan(layer).install() if planned else None
         try:
@@ -112,15 +117,19 @@ def _recurrent_parity(build, shape, seed=7):
             if plan is not None:
                 plan.uninstall()
         grads = {n: np.array(p.grad, copy=True) for n, p in layer.named_parameters()}
-        results.append((steps.data.copy(), summary.data.copy(), x.grad.copy(), grads))
+        results.append((steps.data.copy(), summary.data.copy(), x.grad, grads))
 
     (s0, h0, dx0, g0), (s1, h1, dx1, g1) = results
     assert np.max(np.abs(s0 - s1)) <= TOL
     assert np.max(np.abs(h0 - h1)) <= TOL
-    assert np.max(np.abs(dx0 - dx1)) <= TOL
+    if x_grad:
+        assert np.max(np.abs(dx0 - dx1)) <= TOL
+    else:
+        assert dx0 is None and dx1 is None
     assert set(g0) == set(g1)
     for key in g0:
         assert np.max(np.abs(g0[key] - g1[key])) <= TOL, key
+    return g1
 
 
 def test_lstm_forward_large_ragged():
@@ -135,16 +144,33 @@ def test_bilstm_large_ragged():
     _recurrent_parity(lambda rng: BiLSTM(8, 10, rng), (19, 12, 8))
 
 
+def test_bilstm_fully_masked_rows():
+    _recurrent_parity(lambda rng: BiLSTM(8, 10, rng), (19, 12, 8), empty_rows=3)
+
+
+def test_bilstm_input_without_grad():
+    build = lambda rng: BiLSTM(8, 10, rng)  # noqa: E731
+    with_dx = _recurrent_parity(build, (19, 12, 8))
+    without_dx = _recurrent_parity(build, (19, 12, 8), x_grad=False)
+    for key in with_dx:
+        np.testing.assert_array_equal(without_dx[key], with_dx[key], err_msg=key)
+
+
+def test_bilstm_production_shape():
+    # The review encoder's shape at train-yelp's default config.
+    _recurrent_parity(lambda rng: BiLSTM(20, 24, rng), (240, 18, 20))
+
+
 def test_gru_large_ragged():
     _recurrent_parity(lambda rng: GRU(7, 9, rng), (15, 11, 7))
 
 
-def test_pool_reused_across_batch_sizes():
+def _check_pool_reuse(build):
     # Deduplicated review batches vary in size every step; the pool must
     # serve each size as a view of one growing allocation, not a fresh
     # buffer per distinct shape.
     rng = np.random.default_rng(0)
-    layer = LSTM(5, 6, rng)
+    layer = build(rng)
     plan = compile_plan(layer).install()
     try:
         for batch in (8, 3, 12):
@@ -165,3 +191,31 @@ def test_pool_reused_across_batch_sizes():
         assert final["hits"] > grown["hits"]
     finally:
         plan.uninstall()
+
+
+def test_pool_reused_across_batch_sizes():
+    _check_pool_reuse(lambda rng: LSTM(5, 6, rng))
+
+
+def test_bilstm_pool_reused_across_batch_sizes():
+    _check_pool_reuse(lambda rng: BiLSTM(5, 6, rng))
+
+
+def test_bilstm_explain_lists_the_pooled_buffers():
+    # `plan --explain` prints PlanEntry.buffers as the executor's buffer
+    # schedule; after one forward + backward the executor must have
+    # pooled exactly the buffers named there, no more and no fewer.
+    rng = np.random.default_rng(0)
+    layer = BiLSTM(5, 6, rng)
+    plan = compile_plan(layer).install()
+    try:
+        x = Tensor(rng.normal(size=(7, 4, 5)), requires_grad=True)
+        steps, summary = layer(x)
+        (F.sum(steps) + F.sum(summary)).backward()
+    finally:
+        plan.uninstall()
+    (entry,) = plan.entries
+    listed = {n for buf in entry.buffers for n in buf.split()[0].split(",")}
+    prefix = f"{entry.path}."
+    pooled = {n[len(prefix):] for n in plan.pool.names() if n.startswith(prefix)}
+    assert pooled == listed
