@@ -30,7 +30,8 @@
 #   6. serve smoke — train + export an embedding store through the CLI,
 #      boot the HTTP API on an ephemeral port, issue real requests, and
 #      assert 200s with well-formed JSON plus a clean shutdown (see
-#      docs/serving.md).
+#      docs/serving.md); the server process must not have imported
+#      scipy, the trainer or the analysis passes, and prints its peak RSS.
 #   7. serve-chaos smoke — boot a server with injected scoring faults:
 #      /healthz must flip to degraded (breaker open) while the ladder
 #      keeps answering with labelled degraded payloads, then recover;
@@ -181,6 +182,7 @@ grep -q "verified against the live model" "$SMOKE_DIR/export.log" \
 python - "$SMOKE_DIR" <<'PY'
 import http.client
 import json
+import resource
 import sys
 import threading
 from pathlib import Path
@@ -207,11 +209,23 @@ for path, checks in [
         assert key in payload, (path, key, payload)
 conn.close()
 
+# Serving imports only the serving path (docs/architecture.md): neither
+# the import nor any request may load training or analysis code.
+training = ("scipy", "repro.core.trainer", "repro.text.embeddings") + tuple(
+    f"repro.analysis.{name}" for name in ("gradient_check", "graph", "lint", "shapes")
+)
+leaked = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in training)
+assert not leaked, f"the server process imported training code: {leaked}"
+
 server.shutdown()
 server.close()
 thread.join(timeout=5.0)
 assert not thread.is_alive(), "server thread failed to stop"
-print(f"serve smoke OK: 3 endpoints on ephemeral port {port}, clean shutdown")
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(
+    f"serve smoke OK: 3 endpoints on ephemeral port {port}, clean shutdown, "
+    f"{len(sys.modules)} modules, peak RSS {peak_mb:.1f} MB"
+)
 PY
 
 echo "== serve-chaos smoke =="

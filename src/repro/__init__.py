@@ -19,8 +19,8 @@ Subpackages
 ``repro.eval``
     Experiment protocol and one runner per paper table/figure.
 ``repro.obs``
-    Observability: per-layer profiling hooks, timers, structured run
-    reports (see ``docs/observability.md``).
+    Observability: trace spans, metrics, per-layer profiling hooks,
+    structured run reports (see ``docs/observability.md``).
 ``repro.resilience``
     Fault tolerance: atomic checkpoint/resume, divergence rollback,
     deterministic chaos testing (see ``docs/resilience.md``).
@@ -28,6 +28,9 @@ Subpackages
     Static analysis: symbolic shape checking, autograd-graph
     validation, per-layer gradient checks, and the repo discipline
     linter (see ``docs/analysis.md``).
+
+Subpackages and their public names load on first access, so a process
+imports only the code it runs (``docs/architecture.md``).
 
 Quickstart
 ----------
@@ -41,7 +44,7 @@ Quickstart
 
 __version__ = "1.0.0"
 
-from . import analysis, baselines, core, data, eval, metrics, nn, obs, resilience, text
+from importlib import import_module
 
 __all__ = [
     "analysis",
@@ -56,3 +59,13 @@ __all__ = [
     "text",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

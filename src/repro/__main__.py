@@ -65,37 +65,23 @@ import json
 import sys
 from typing import Dict, Optional
 
-from .eval import (
-    run_ablation_attention,
-    run_ablation_encoder,
-    run_ablation_lambda,
-    run_fig2,
-    run_fig3,
-    run_fig4,
-    run_table2,
-    run_table3,
-    run_table4,
-    run_table5,
-    run_table6,
-    run_table7,
-    run_table8,
-)
-
-#: experiment name → (runner, accepts_seeds)
+#: experiment name → (``repro.eval`` runner name, accepts_seeds).  Runners
+#: resolve in :func:`run_one`, so ``serve`` and ``list`` never import the
+#: experiment code.
 EXPERIMENTS: Dict[str, tuple] = {
-    "table2": (run_table2, False),
-    "table3": (run_table3, True),
-    "table4": (run_table4, True),
-    "table5": (run_table5, True),
-    "table6": (run_table6, True),
-    "table7": (run_table7, False),
-    "table8": (run_table8, False),
-    "fig2": (run_fig2, False),
-    "fig3": (run_fig3, False),
-    "fig4": (run_fig4, False),
-    "ablation-attention": (run_ablation_attention, True),
-    "ablation-encoder": (run_ablation_encoder, True),
-    "ablation-lambda": (run_ablation_lambda, False),
+    "table2": ("run_table2", False),
+    "table3": ("run_table3", True),
+    "table4": ("run_table4", True),
+    "table5": ("run_table5", True),
+    "table6": ("run_table6", True),
+    "table7": ("run_table7", False),
+    "table8": ("run_table8", False),
+    "fig2": ("run_fig2", False),
+    "fig3": ("run_fig3", False),
+    "fig4": ("run_fig4", False),
+    "ablation-attention": ("run_ablation_attention", True),
+    "ablation-encoder": ("run_ablation_encoder", True),
+    "ablation-lambda": ("run_ablation_lambda", False),
 }
 
 #: Every subcommand with a one-line description — drives the parser's
@@ -354,7 +340,10 @@ def run_one(
     """Run one registered experiment; optionally dump its data as JSON."""
     import inspect
 
-    runner, accepts_seeds = EXPERIMENTS[name]
+    from . import eval as experiments
+
+    runner_name, accepts_seeds = EXPERIMENTS[name]
+    runner = getattr(experiments, runner_name)
     signature = inspect.signature(runner)
     has_var_kwargs = any(
         p.kind is inspect.Parameter.VAR_KEYWORD for p in signature.parameters.values()

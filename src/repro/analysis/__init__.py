@@ -11,7 +11,7 @@ compute is spent (see ``docs/analysis.md``):
   (:func:`validate_graph`): dead parameters, accidental detachment,
   non-finite(-prone) ops, dropout-mode bugs, and in-place mutation of
   tape-recorded arrays via version counters;
-* :mod:`~repro.analysis.gradcheck` — finite-difference gradient checking
+* :mod:`~repro.analysis.gradient_check` — finite-difference gradient checking
   (:func:`gradcheck`) with a registered case per shipped layer
   (:func:`run_layer_gradchecks`);
 * :mod:`~repro.analysis.lint` — an AST linter (:func:`lint_paths`)
@@ -29,57 +29,59 @@ analyze`` and as a training pre-flight via
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
-from .gradcheck import (
-    GradcheckFailure,
-    GradcheckResult,
-    LAYER_CASES,
-    gradcheck,
-    register_layer_case,
-    run_layer_gradchecks,
-)
-from .graph import (
-    GraphIssue,
-    GraphReport,
-    GraphSnapshot,
-    snapshot_graph,
-    track_mutation_sites,
-    validate_graph,
-)
-from .lint import RULES, LintReport, LintViolation, lint_paths, lint_source
-from .concurrency import (
-    LOCK_RULES,
-    DeadlockError,
-    DeadlockWatchdog,
-    RaceDetector,
-    RaceReport,
-    TracedLock,
-    TracedRLock,
-    analyze_concurrency,
-    disable_lock_tracing,
-    enable_lock_tracing,
-    instrument_class,
-    lock_tracing,
-    make_lock,
-    make_rlock,
-    race_detection,
-    tracing_enabled,
-)
-# The LOCK001–LOCK004 descriptions join the rule catalogue as soon as
-# the package is imported (lint_source also merges them on demand).
-RULES.update(LOCK_RULES)
+from .._lazy import lazy_exports
 
-from .shapes import (
-    Dim,
-    ShapeCheckReport,
-    ShapeEnv,
-    ShapeError,
-    ShapeSpec,
-    apply_spec,
-    check_shapes,
-    infer_shapes,
-    scoped_env,
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".gradient_check": (
+            "GradcheckFailure",
+            "GradcheckResult",
+            "LAYER_CASES",
+            "gradcheck",
+            "register_layer_case",
+            "run_layer_gradchecks",
+        ),
+        ".graph": (
+            "GraphIssue",
+            "GraphReport",
+            "GraphSnapshot",
+            "snapshot_graph",
+            "track_mutation_sites",
+            "validate_graph",
+        ),
+        ".lint": ("RULES", "LintReport", "LintViolation", "lint_paths", "lint_source"),
+        ".concurrency": (
+            "DeadlockError",
+            "DeadlockWatchdog",
+            "RaceDetector",
+            "RaceReport",
+            "TracedLock",
+            "TracedRLock",
+            "analyze_concurrency",
+            "disable_lock_tracing",
+            "enable_lock_tracing",
+            "instrument_class",
+            "lock_tracing",
+            "make_lock",
+            "make_rlock",
+            "race_detection",
+            "tracing_enabled",
+        ),
+        ".shapes": (
+            "Dim",
+            "ShapeCheckReport",
+            "ShapeEnv",
+            "ShapeError",
+            "ShapeSpec",
+            "apply_spec",
+            "check_shapes",
+            "infer_shapes",
+            "scoped_env",
+        ),
+    },
 )
 
 __all__ = [
@@ -149,7 +151,8 @@ def preflight(model, slots=None, table=None, mode: str = "shapes") -> Dict[str, 
     """
     import numpy as np
 
-    from .shapes import ShapeError as _ShapeError
+    from .graph import snapshot_graph, validate_graph
+    from .shapes import ShapeError, check_shapes
 
     if mode not in ("shapes", "strict"):
         raise ValueError(f"preflight mode must be 'shapes' or 'strict', got {mode!r}")
@@ -157,7 +160,7 @@ def preflight(model, slots=None, table=None, mode: str = "shapes") -> Dict[str, 
 
     try:
         report["shapes"] = check_shapes(model, strict=True).to_dict()
-    except _ShapeError as err:
+    except ShapeError as err:
         raise PreflightError(f"shape check failed: {err}") from err
 
     if mode == "strict":

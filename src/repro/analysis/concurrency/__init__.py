@@ -13,37 +13,49 @@ Three cooperating layers over the threaded runtime (:mod:`repro.serve`,
 CLI surface: ``python -m repro analyze --concurrency [--dynamic]``.
 """
 
-from .lint_locks import LOCK_RULES, LockModel, build_lock_models, collect_lock_violations
-from .locks import (
-    DeadlockError,
-    LockStats,
-    TracedLock,
-    TracedRLock,
-    current_lock_names,
-    current_lockset,
-    disable_lock_tracing,
-    enable_lock_tracing,
-    find_deadlock,
-    lock_stats_snapshot,
-    lock_tracing,
-    make_lock,
-    make_rlock,
-    publish_lock_metrics,
-    set_lock_metrics,
-    tracing_enabled,
+from ..._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".lint_locks": (
+            "LOCK_RULES",
+            "LockModel",
+            "build_lock_models",
+            "collect_lock_violations",
+        ),
+        ".locks": (
+            "DeadlockError",
+            "LockStats",
+            "TracedLock",
+            "TracedRLock",
+            "current_lock_names",
+            "current_lockset",
+            "disable_lock_tracing",
+            "enable_lock_tracing",
+            "find_deadlock",
+            "lock_stats_snapshot",
+            "lock_tracing",
+            "make_lock",
+            "make_rlock",
+            "publish_lock_metrics",
+            "set_lock_metrics",
+            "tracing_enabled",
+        ),
+        ".races": (
+            "RaceDetector",
+            "RaceReport",
+            "active_detector",
+            "install_detector",
+            "instrument_class",
+            "race_detection",
+            "uninstall_detector",
+            "uninstrument_class",
+        ),
+        ".watchdog": ("DeadlockWatchdog", "LockAlert"),
+        ".harness": ("analyze_concurrency", "run_dynamic_exercise"),
+    },
 )
-from .races import (
-    RaceDetector,
-    RaceReport,
-    active_detector,
-    install_detector,
-    instrument_class,
-    race_detection,
-    uninstall_detector,
-    uninstrument_class,
-)
-from .watchdog import DeadlockWatchdog, LockAlert
-from .harness import analyze_concurrency, run_dynamic_exercise
 
 __all__ = [
     "DeadlockError",

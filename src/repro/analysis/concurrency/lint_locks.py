@@ -43,16 +43,13 @@ import ast
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..lint import LintViolation
+from ..lint import RULES, LintViolation
 
 __all__ = ["LOCK_RULES", "LockModel", "collect_lock_violations", "build_lock_models"]
 
-#: rule ID → one-line description (merged into ``repro.analysis.RULES``).
+#: rule ID → one-line description, the LOCK rows of ``repro.analysis.RULES``.
 LOCK_RULES: Dict[str, str] = {
-    "LOCK001": "shared attribute accessed both under and outside its guarding lock",
-    "LOCK002": "inconsistent lock acquisition order across methods (potential deadlock)",
-    "LOCK003": "blocking call (I/O, sleep, result/wait without timeout) while holding a lock",
-    "LOCK004": "manual lock acquire() without a try/finally release",
+    rule: text for rule, text in RULES.items() if rule.startswith("LOCK")
 }
 
 #: Constructors whose result is a lock when bound to ``self.<attr>``.

@@ -63,6 +63,9 @@ from typing import Dict, Iterable, List, Sequence, Set, Union
 __all__ = ["RULES", "LintViolation", "LintReport", "lint_source", "lint_paths"]
 
 #: rule ID → one-line description (rendered by ``--lint`` and the docs).
+#: LOCK001–LOCK004 are checked by :mod:`.concurrency.lint_locks`; their
+#: descriptions live here so the catalogue is complete whatever module
+#: is imported first.
 RULES: Dict[str, str] = {
     "RNG001": "legacy global NumPy RNG call; inject an np.random.Generator instead",
     "RNG002": "stdlib random module call; inject an np.random.Generator instead",
@@ -70,18 +73,11 @@ RULES: Dict[str, str] = {
     "DTYPE001": "dtype-less np.array/np.asarray in repro.nn; the substrate is float64-only",
     "MUT001": "assignment to a Tensor .data attribute outside a whitelisted optimizer site",
     "MUT002": "call-based in-place write to a .data array outside the plan executor",
+    "LOCK001": "shared attribute accessed both under and outside its guarding lock",
+    "LOCK002": "inconsistent lock acquisition order across methods (potential deadlock)",
+    "LOCK003": "blocking call (I/O, sleep, result/wait without timeout) while holding a lock",
+    "LOCK004": "manual lock acquire() without a try/finally release",
 }
-
-
-def _install_lock_rules() -> None:
-    """Merge the LOCK001–LOCK004 descriptions into :data:`RULES`.
-
-    Deferred to call time because :mod:`.concurrency.lint_locks` imports
-    :class:`LintViolation` from this module.
-    """
-    from .concurrency.lint_locks import LOCK_RULES
-
-    RULES.update(LOCK_RULES)
 
 #: ndarray methods that mutate in place — targets for MUT002 when
 #: invoked directly on a ``.data`` attribute.
@@ -321,7 +317,6 @@ def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
         # engine for raw lock manipulation, mirroring the plan/MUT002 rule.
         from .concurrency.lint_locks import collect_lock_violations
 
-        _install_lock_rules()
         visitor.violations.extend(collect_lock_violations(tree, path))
     lines = source.splitlines()
     kept = []

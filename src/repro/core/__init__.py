@@ -1,30 +1,37 @@
 """``repro.core`` — the RRRE model, trainer, and recommendation pipeline."""
 
-from .config import RRREConfig, fast_config
-from .inspect import (
-    AttendedReview,
-    attention_fake_discount,
-    item_profile_attention,
-    user_profile_attention,
+from .._lazy import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".config": ("RRREConfig", "fast_config"),
+        ".inspect": (
+            "AttendedReview",
+            "attention_fake_discount",
+            "item_profile_attention",
+            "user_profile_attention",
+        ),
+        ".encoder": (
+            "BiLSTMReviewEncoder",
+            "CNNReviewEncoder",
+            "MeanReviewEncoder",
+            "make_encoder",
+        ),
+        ".losses": ("JointLossParts", "joint_loss"),
+        ".model": ("BENIGN_CLASS", "RRRE", "RRREOutput"),
+        ".nets": ("EntityNet",),
+        ".recommend": (
+            "Explanation",
+            "Recommendation",
+            "explain_item",
+            "rank_by_rating_then_reliability",
+            "recommend_items",
+        ),
+        ".semisupervised": ("SelfTrainingState", "SemiSupervisedRRRETrainer"),
+        ".trainer": ("EpochRecord", "RRRETrainer"),
+    },
 )
-from .encoder import (
-    BiLSTMReviewEncoder,
-    CNNReviewEncoder,
-    MeanReviewEncoder,
-    make_encoder,
-)
-from .losses import JointLossParts, joint_loss
-from .model import BENIGN_CLASS, RRRE, RRREOutput
-from .nets import EntityNet
-from .recommend import (
-    Explanation,
-    Recommendation,
-    explain_item,
-    rank_by_rating_then_reliability,
-    recommend_items,
-)
-from .semisupervised import SelfTrainingState, SemiSupervisedRRRETrainer
-from .trainer import EpochRecord, RRRETrainer
 
 __all__ = [
     "AttendedReview",

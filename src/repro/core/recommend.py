@@ -15,13 +15,14 @@ The two-stage procedure:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro.obs.trace import traced
 
-from .trainer import RRRETrainer
+if TYPE_CHECKING:
+    from .trainer import RRRETrainer
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@
 import ast
 import textwrap
 
+import pytest
+
 from repro.analysis import RULES
 from repro.analysis.concurrency import LOCK_RULES
 from repro.analysis.concurrency.lint_locks import build_lock_models
 from repro.analysis.lint import lint_source
+from tests.helpers import fresh
 
 
 def _lock_violations(source, path="models.py"):
@@ -24,6 +27,22 @@ class TestRuleCatalogue:
         assert set(LOCK_RULES) == {"LOCK001", "LOCK002", "LOCK003", "LOCK004"}
         for rule, description in LOCK_RULES.items():
             assert RULES[rule] == description
+
+    @pytest.mark.parametrize(
+        "first",
+        [
+            "import repro.analysis",
+            "import repro.analysis.lint",
+            "import repro.analysis.concurrency.lint_locks",
+            "from repro.analysis.concurrency import LOCK_RULES",
+            "from repro.serve import make_server",
+        ],
+    )
+    def test_catalogue_is_complete_whatever_is_imported_first(self, first):
+        rules = fresh(
+            f"{first}\nimport json, repro.analysis\nprint(json.dumps(list(repro.analysis.RULES)))"
+        )
+        assert {"LOCK001", "LOCK002", "LOCK003", "LOCK004"} <= set(rules)
 
 
 class TestLock001:

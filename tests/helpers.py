@@ -1,7 +1,13 @@
-"""Shared test utilities: finite-difference gradient checking."""
+"""Shared test utilities: finite-difference gradient checking, fresh
+interpreters."""
 
 from __future__ import annotations
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -56,3 +62,21 @@ def check_gradients(
     for leaf, expected in zip(leaves, numeric):
         got = leaf.grad if leaf.grad is not None else np.zeros_like(expected)
         np.testing.assert_allclose(got, expected, atol=atol, rtol=rtol)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def fresh(code: str):
+    """Run ``code`` in a new interpreter; return the JSON it prints last.
+
+    Import-order and import-footprint checks need one: the test process
+    has already imported everything.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
