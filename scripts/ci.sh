@@ -14,7 +14,8 @@
 #      ran (none with 0 calls), and both BiLSTM rows record backward
 #      time, i.e. the profiler's probes pass the gradient on into the
 #      planned layers every fit runs on.  `plan --explain` on the same
-#      preset exits 0 and lists both review encoders as [bilstm] entries.
+#      preset exits 0 and lists both review encoders as [bilstm] entries,
+#      each printing a `summary` out-line and no `steps` line.
 #   4. chaos recovery smoke — train with an injected mid-epoch crash,
 #      resume from the surviving checkpoints (exercising the CLI
 #      --checkpoint-dir/--resume path too), and assert the resumed
@@ -103,11 +104,18 @@ assert "# TYPE repro_epoch_seconds histogram" in prom
 print("smoke run OK:", len(events), "events,", len(kinds), "span kinds")
 PY
 # The compiled plan as `plan --explain` prints it: one [bilstm] entry per
-# review encoder.
+# review encoder, each with a summary out-line and no per-step output.
 python -m repro plan --dataset yelpchi --scale 0.15 --explain > "$SMOKE_DIR/plan.log"
 bilstm_entries=$(grep -c "\[bilstm\]" "$SMOKE_DIR/plan.log" || true)
 [ "$bilstm_entries" -eq 2 ] \
     || { echo "plan --explain lists $bilstm_entries [bilstm] entries, expected 2"; exit 1; }
+read -r summary_lines steps_lines < <(awk '
+    $2 ~ /^\[[a-z]+\]$/ { bilstm = ($2 == "[bilstm]") }
+    bilstm && $1 == "out:" && $2 == "summary" { summary++ }
+    bilstm && $1 == "out:" && $2 == "steps" { steps++ }
+    END { print summary + 0, steps + 0 }' "$SMOKE_DIR/plan.log")
+[ "$summary_lines" -eq "$bilstm_entries" ] && [ "$steps_lines" -eq 0 ] \
+    || { echo "[bilstm] entries print $summary_lines summary and $steps_lines steps out-lines"; exit 1; }
 
 echo "== chaos recovery smoke =="
 python - "$SMOKE_DIR" <<'PY'

@@ -112,3 +112,32 @@ def fast_config(**overrides) -> RRREConfig:
     )
     defaults.update(overrides)
     return RRREConfig(**defaults)
+
+
+def bench_rrre_config(**overrides) -> RRREConfig:
+    """The tuned mid-size RRRE configuration used by the benchmarks.
+
+    Chosen so one fit takes ~10-20 s on a CPU core at ``scale=0.5``
+    while keeping the paper's architecture (BiLSTM encoder, fraud
+    attention, FM head, joint loss).
+    """
+    defaults = dict(
+        review_dim=48,
+        word_dim=20,
+        id_dim=12,
+        attention_dim=12,
+        fm_factors=6,
+        s_u=7,
+        s_i=10,
+        max_len=18,
+        epochs=14,
+        batch_size=128,
+        lr=0.008,
+        lambda_weight=0.4,
+        dropout=0.1,
+        weight_decay=3e-3,
+        pretrain_words=True,
+        max_vocab=3000,
+    )
+    defaults.update(overrides)
+    return RRREConfig(**defaults)

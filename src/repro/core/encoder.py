@@ -37,15 +37,13 @@ class BiLSTMReviewEncoder(nn.Module):
 
     def forward(self, token_ids: np.ndarray, token_mask: np.ndarray) -> Tensor:
         vectors = self.word_embedding(token_ids)  # (B, L, d)
-        _, summary = self.bilstm(vectors, token_mask)  # (B, review_dim)
-        return summary
+        return self.bilstm(vectors, token_mask)  # (B, review_dim)
 
     def shape_spec(self, token_ids, token_mask=None):
         from repro.analysis import shapes as S
 
         vectors = S.apply_spec(self.word_embedding, "word_embedding", token_ids)
-        _, summary = S.apply_spec(self.bilstm, "bilstm", vectors, token_mask)
-        return summary
+        return S.apply_spec(self.bilstm, "bilstm", vectors, token_mask)
 
 
 class CNNReviewEncoder(nn.Module):

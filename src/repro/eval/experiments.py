@@ -29,7 +29,8 @@ from ..baselines import (
     RRREReliability,
     SpEaglePlus,
 )
-from ..core import RRREConfig, RRRETrainer, explain_item, recommend_items
+from ..core import RRRETrainer, explain_item, recommend_items
+from ..core.config import bench_rrre_config
 from ..data import DATASET_NAMES, PAPER_STATISTICS, load_dataset, train_test_split
 from ..metrics import auc, average_precision, biased_rmse, ndcg_at_k
 from .protocol import run_protocol
@@ -46,35 +47,6 @@ class ExperimentReport:
 
     def __str__(self) -> str:
         return self.rendered
-
-
-def bench_rrre_config(**overrides) -> RRREConfig:
-    """The tuned mid-size RRRE configuration used by the benchmarks.
-
-    Chosen so one fit takes ~10-20 s on a CPU core at ``scale=0.5``
-    while keeping the paper's architecture (BiLSTM encoder, fraud
-    attention, FM head, joint loss).
-    """
-    defaults = dict(
-        review_dim=48,
-        word_dim=20,
-        id_dim=12,
-        attention_dim=12,
-        fm_factors=6,
-        s_u=7,
-        s_i=10,
-        max_len=18,
-        epochs=14,
-        batch_size=128,
-        lr=0.008,
-        lambda_weight=0.4,
-        dropout=0.1,
-        weight_decay=3e-3,
-        pretrain_words=True,
-        max_vocab=3000,
-    )
-    defaults.update(overrides)
-    return RRREConfig(**defaults)
 
 
 # ---------------------------------------------------------------------------

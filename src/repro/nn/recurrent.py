@@ -84,16 +84,10 @@ class LSTM(Module):
         self.cell = LSTMCell(input_size, hidden_size, rng)
         self.hidden_size = hidden_size
         self.reverse = reverse
-        #: Planned executor slot (:class:`repro.plan.PlannedLSTM`); set by
-        #: ``ExecutionPlan.install`` to replace the per-step interpreted
-        #: loop with one compiled tape node. ``None`` = interpreted mode.
-        self._planned = None
 
     def forward(
         self, x: Tensor, mask: Optional[np.ndarray] = None
     ) -> Tuple[Tensor, Tensor]:
-        if self._planned is not None:
-            return self._planned(x, mask)
         batch, length, _ = x.shape
         if mask is None:
             mask = np.ones((batch, length), dtype=bool)
@@ -136,7 +130,7 @@ class LSTM(Module):
 
 
 class BiLSTM(Module):
-    """Bidirectional LSTM; the summary is ``h_forward ⊕ h_backward`` (Eq. 4).
+    """Bidirectional LSTM; returns the summary ``h_forward ⊕ h_backward`` (Eq. 4).
 
     The summary width is ``2 * hidden_size``.
     """
@@ -146,31 +140,26 @@ class BiLSTM(Module):
         self.forward_lstm = LSTM(input_size, hidden_size, rng, reverse=False)
         self.backward_lstm = LSTM(input_size, hidden_size, rng, reverse=True)
         self.output_size = 2 * hidden_size
-        #: Planned executor slot (:class:`repro.plan.PlannedBiLSTM`);
-        #: when set, both directions run through one fused step loop
-        #: and the child LSTMs are bypassed entirely.
+        #: Planned executor slot (:class:`repro.plan.PlannedBiLSTM`); set
+        #: by ``ExecutionPlan.install`` to run both directions through one
+        #: fused step loop, bypassing the child LSTMs. ``None`` =
+        #: interpreted mode.
         self._planned = None
 
-    def forward(
-        self, x: Tensor, mask: Optional[np.ndarray] = None
-    ) -> Tuple[Tensor, Tensor]:
-        """Return ``(per_step (B,L,2H), summary (B,2H))``."""
+    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+        """Return the summary ``(B, 2H)``: each direction's last real-token state."""
         if self._planned is not None:
             return self._planned(x, mask)
-        fwd_steps, fwd_last = self.forward_lstm(x, mask)
-        bwd_steps, bwd_last = self.backward_lstm(x, mask)
-        steps = F.concat([fwd_steps, bwd_steps], axis=-1)
-        summary = F.concat([fwd_last, bwd_last], axis=-1)
-        return steps, summary
+        _, fwd_last = self.forward_lstm(x, mask)
+        _, bwd_last = self.backward_lstm(x, mask)
+        return F.concat([fwd_last, bwd_last], axis=-1)
 
     def shape_spec(self, x, mask=None):
         from repro.analysis import shapes as S
 
-        fwd_steps, fwd_last = S.apply_spec(self.forward_lstm, "forward_lstm", x, mask)
-        bwd_steps, bwd_last = S.apply_spec(self.backward_lstm, "backward_lstm", x, mask)
-        steps = S.concat_spec([fwd_steps, bwd_steps], axis=-1, layer="BiLSTM steps")
-        summary = S.concat_spec([fwd_last, bwd_last], axis=-1, layer="BiLSTM summary")
-        return steps, summary
+        _, fwd_last = S.apply_spec(self.forward_lstm, "forward_lstm", x, mask)
+        _, bwd_last = S.apply_spec(self.backward_lstm, "backward_lstm", x, mask)
+        return S.concat_spec([fwd_last, bwd_last], axis=-1, layer="BiLSTM summary")
 
 
 class GRUCell(Module):
@@ -217,14 +206,10 @@ class GRU(Module):
         super().__init__()
         self.cell = GRUCell(input_size, hidden_size, rng)
         self.hidden_size = hidden_size
-        #: Planned executor slot (:class:`repro.plan.PlannedGRU`); see LSTM.
-        self._planned = None
 
     def forward(
         self, x: Tensor, mask: Optional[np.ndarray] = None
     ) -> Tuple[Tensor, Tensor]:
-        if self._planned is not None:
-            return self._planned(x, mask)
         batch, length, _ = x.shape
         if mask is None:
             mask = np.ones((batch, length), dtype=bool)

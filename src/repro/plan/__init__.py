@@ -5,10 +5,10 @@ for the recurrent review encoders that means thousands of closures per
 forward pass.  This package compiles the hot path instead:
 
 * :func:`compile_plan` walks a model and builds an
-  :class:`ExecutionPlan` covering its LSTM/GRU layers (replaced by
-  single-tape-node executors with batched GEMMs and fused in-place
-  kernels over pooled buffers) and its attention modules (mask + softmax
-  fused into one node).
+  :class:`ExecutionPlan` covering its BiLSTM review encoders (each
+  replaced by one single-tape-node executor with batched GEMMs and
+  in-place kernels over pooled buffers, returning only the summary) and
+  its attention modules (mask + softmax fused into one node).
 * :class:`~repro.plan.buffers.BufferPool` preallocates and reuses
   scratch storage; arrays that escape into the tape are always fresh.
 * :class:`~repro.plan.safety.PlanSafetyError` is raised when an
@@ -26,7 +26,7 @@ full RRRE model (``tests/plan/``).  See ``docs/execution_plan.md``.
 from .buffers import BufferPool
 from .compile import ExecutionPlan, PlanEntry, compile_plan
 from .fused import masked_softmax
-from .recurrent import PlannedBiLSTM, PlannedGRU, PlannedLSTM
+from .recurrent import PlannedBiLSTM
 from .safety import PlanSafetyError
 
 __all__ = [
@@ -35,8 +35,6 @@ __all__ = [
     "PlanEntry",
     "PlanSafetyError",
     "PlannedBiLSTM",
-    "PlannedGRU",
-    "PlannedLSTM",
     "compile_plan",
     "masked_softmax",
 ]

@@ -1,7 +1,7 @@
 """Preallocated, reused scratch buffers for planned kernels.
 
 The pool is the plan executor's answer to per-op allocation churn: a
-planned LSTM step writes its gate pre-activations, cell states, and
+planned BiLSTM step writes its gate activations, cell states, and
 hidden states into storage that is allocated once per buffer *name* and
 reused on every subsequent call.  Storage is capacity-based: each name
 owns one flat array that grows monotonically to the largest request

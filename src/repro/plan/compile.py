@@ -1,8 +1,8 @@
 """Plan compilation: walk a model, attach planned executors, explain.
 
 :func:`compile_plan` discovers every plannable module in a model — the
-recurrent layers (:class:`repro.nn.LSTM`, :class:`repro.nn.GRU`) and the
-fraud-attention (:class:`repro.nn.ReviewAttention`) — infers their
+review encoder (:class:`repro.nn.BiLSTM`) and the fraud-attention
+(:class:`repro.nn.ReviewAttention`) — infers their
 symbolic output shapes through :mod:`repro.analysis.shapes`, and returns
 an :class:`ExecutionPlan`.  :meth:`ExecutionPlan.install` swaps the
 interpreted per-step forwards for the compiled executors in place;
@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from repro.nn.attention import ReviewAttention
-from repro.nn.recurrent import GRU, LSTM, BiLSTM
+from repro.nn.recurrent import BiLSTM
 
 from .buffers import BufferPool
-from .recurrent import PlannedBiLSTM, PlannedGRU, PlannedLSTM
+from .recurrent import PlannedBiLSTM
 
 __all__ = ["PlanEntry", "ExecutionPlan", "compile_plan"]
 
@@ -31,7 +31,7 @@ class PlanEntry:
     """One module covered by the plan."""
 
     path: str  #: dotted module path inside the model
-    kind: str  #: ``"lstm"`` | ``"gru"`` | ``"attention"``
+    kind: str  #: ``"bilstm"`` | ``"attention"``
     module: object  #: the live module instance
     executor: object = None  #: planned executor (None for attention fusion)
     summary: str = ""  #: one-line fusion description
@@ -146,7 +146,7 @@ def compile_plan(
     """Compile an :class:`ExecutionPlan` for ``model``.
 
     Walks ``model.named_modules()`` and creates a planned executor per
-    recurrent layer plus a fused-softmax entry per attention module.
+    BiLSTM (its child LSTMs stay interpreted and are bypassed) plus a fused-softmax entry per attention module.
     ``batch_size`` / ``seq_len`` only bind the symbolic axes in the
     ``--explain`` output — executors size their pooled buffers from the
     actual inputs, growing each named buffer to the largest batch seen
@@ -156,19 +156,14 @@ def compile_plan(
     S, batch, length = _dims(batch_size, seq_len)
     pool = BufferPool()
     entries: List[PlanEntry] = []
-    skip: set = set()
     for path, module in model.named_modules():
         label = path or type(module).__name__
         if isinstance(module, BiLSTM):
-            # Both directions fuse into one executor; the child LSTMs
-            # (yielded next by named_modules) must stay interpreted.
-            skip.add(id(module.forward_lstm))
-            skip.add(id(module.backward_lstm))
             H = module.forward_lstm.hidden_size
             D = module.forward_lstm.cell.input_size
             K = D + 1 + H
             x_spec = S.ShapeSpec((batch, length, D), "float64")
-            steps_spec, summary_spec = module.shape_spec(x_spec, None)
+            summary_spec = module.shape_spec(x_spec, None)
             entries.append(
                 PlanEntry(
                     path=label,
@@ -182,74 +177,19 @@ def compile_plan(
                         f"straight into the activations + one tanh over the "
                         f"gate block"
                     ),
-                    shapes=(f"steps {steps_spec}", f"summary {summary_spec}"),
+                    shapes=(f"summary {summary_spec}",),
                     # "<name>[,<name>...] <shape>": the names are the
                     # executor's pooled buffers (tests/plan keeps them in
                     # sync with the pool).
                     buffers=(
                         f"z (L+1,2,{K},B) [x_t; 1; h_prev] per step",
-                        f"acts (L,2,{4 * H},B)",
+                        f"acts (L,2,{4 * H},B) gate grads in backward",
                         f"c (L+1,2,{H},B)",
                         f"tanh_c (L,2,{H},B)",
                         f"tmp (2,{H},B)",
-                        f"gs (L,2,{H},B) backward",
-                        f"dacts (L,2,{4 * H},B) backward",
                         f"dxs (L,2,{D},B) backward",
                         f"dh,dc,dh_new,dc_new,hs (2,{H},B) backward",
-                        f"one_minus (2,{3 * H},B) backward",
-                    ),
-                )
-            )
-        elif id(module) in skip:
-            continue
-        elif isinstance(module, LSTM):
-            D, H = module.cell.input_size, module.hidden_size
-            x_spec = S.ShapeSpec((batch, length, D), "float64")
-            steps_spec, last_spec = module.shape_spec(x_spec, None)
-            direction = "reverse" if module.reverse else "forward"
-            entries.append(
-                PlanEntry(
-                    path=label,
-                    kind="lstm",
-                    module=module,
-                    executor=PlannedLSTM(module, pool, label),
-                    summary=(
-                        f"LSTM(in={D}, hidden={H}, {direction}): one tape node; "
-                        f"input GEMM (B*L,{D})@({D},{4 * H}) once, per-step "
-                        f"(B,{H})@({H},{4 * H}) + fused gate/cell kernels"
-                    ),
-                    shapes=(f"steps {steps_spec}", f"last {last_spec}"),
-                    buffers=(
-                        f"gx (B,L,{4 * H})",
-                        f"acts (L,B,{4 * H})",
-                        f"h,c (L+1,B,{H}) x2",
-                        f"tanh_c (L,B,{H})",
-                        f"backward: dgates+dgt (L,B,{4 * H}) x2, 6x (B,{H}) scratch",
-                    ),
-                )
-            )
-        elif isinstance(module, GRU):
-            H = module.hidden_size
-            D = module.cell.weight_h.shape[0] - H
-            x_spec = S.ShapeSpec((batch, length, D), "float64")
-            steps_spec, last_spec = module.shape_spec(x_spec, None)
-            entries.append(
-                PlanEntry(
-                    path=label,
-                    kind="gru",
-                    module=module,
-                    executor=PlannedGRU(module, pool, label),
-                    summary=(
-                        f"GRU(in={D}, hidden={H}): one tape node; input GEMMs "
-                        f"(B*L,{D})@({D},{2 * H}|{H}) once, per-step "
-                        f"(B,{H})@({H},{2 * H}) + (B,{H})@({H},{H})"
-                    ),
-                    shapes=(f"steps {steps_spec}", f"last {last_spec}"),
-                    buffers=(
-                        f"gxzr (B,L,{2 * H}), gxh (B,L,{H})",
-                        f"zr (L,B,{2 * H}), ht,rh (L,B,{H}) x2, h (L+1,B,{H})",
-                        f"backward: dgzr+dgzr_t (L,B,{2 * H}) x2, "
-                        f"dgh+dgh_t (L,B,{H}) x2, 4x (B,{H}) scratch",
+                        f"prod,one_minus (2,{3 * H},B) backward",
                     ),
                 )
             )
@@ -270,7 +210,7 @@ def compile_plan(
             )
     if not entries:
         raise ValueError(
-            "nothing to plan: model has no LSTM/GRU/ReviewAttention modules"
+            "nothing to plan: model has no BiLSTM/ReviewAttention modules"
         )
     return ExecutionPlan(
         model, entries, pool, batch_size=batch_size, seq_len=seq_len

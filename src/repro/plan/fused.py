@@ -1,17 +1,8 @@
-"""Fused elementwise kernels with bitwise parity to the interpreted ops.
+"""Fused tape ops with bitwise parity to the interpreted op chains.
 
-Two kinds of fusion live here:
-
-* **In-place ufunc chains** (:func:`sigmoid_`, :func:`tanh_`,
-  :func:`select_`) used inside the planned recurrent executors.  Each
-  performs exactly the operations of its :mod:`repro.nn.functional`
-  counterpart, in an order that differs only across bitwise-safe
-  boundaries (commuted IEEE-754 additions/multiplications), writing into
-  caller-provided pooled storage instead of allocating.
-
-* **Fused tape ops** (:func:`masked_softmax`) that collapse a chain of
-  interpreted ops into a single autograd node with an analytically
-  merged backward.
+:func:`masked_softmax` collapses the attention module's mask-fill and
+softmax into a single autograd node with an analytically merged
+backward.
 """
 
 from __future__ import annotations
@@ -20,42 +11,7 @@ import numpy as np
 
 from repro.nn.tensor import Tensor
 
-__all__ = ["sigmoid_", "tanh_", "select_", "masked_softmax"]
-
-
-def sigmoid_(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """In-place logistic sigmoid, bitwise-equal to ``F.sigmoid``.
-
-    ``F.sigmoid`` computes ``0.5 * (1.0 + np.tanh(0.5 * x))``; the chain
-    below runs the same four scalar operations per element (halve, tanh,
-    add one, halve) with no temporaries.  ``x`` and ``out`` may be the
-    same array.
-    """
-    np.multiply(x, 0.5, out=out)
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    return out
-
-
-def tanh_(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """In-place hyperbolic tangent (``F.tanh`` writes a fresh array)."""
-    return np.tanh(x, out=out)
-
-
-def select_(
-    mask: np.ndarray, new: np.ndarray, old: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """Masked carry-forward into ``out``, bitwise-equal to ``F.where``.
-
-    ``out[i] = new[i] where mask else old[i]`` — selection copies values
-    exactly, so two copytos reproduce ``np.where(mask, new, old)`` bit
-    for bit.  ``mask`` broadcasts against ``out`` (the recurrent step
-    masks are ``(B, 1)`` against ``(B, H)`` states).
-    """
-    np.copyto(out, new)
-    np.copyto(out, old, where=~mask)
-    return out
+__all__ = ["masked_softmax"]
 
 
 def masked_softmax(scores: Tensor, invalid: np.ndarray) -> Tensor:

@@ -74,8 +74,7 @@ class TestLayerSpecs:
 
     def test_bilstm_concatenates_directions(self):
         layer = nn.BiLSTM(4, 3, RNG)
-        seq, summary = infer_shapes(layer, spec("B", "T", 4))
-        assert repr(seq) == "(B, T, 6) float64"
+        summary = infer_shapes(layer, spec("B", "T", 4))
         assert repr(summary) == "(B, 6) float64"
 
     def test_review_attention_unifies_batch(self):

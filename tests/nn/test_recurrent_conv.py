@@ -69,15 +69,14 @@ class TestLSTM:
 class TestBiLSTM:
     def test_summary_width_is_double(self, rng):
         bi = nn.BiLSTM(4, 5, rng)
-        steps, summary = bi(nn.Tensor(rng.normal(size=(2, 6, 4))))
+        summary = bi(nn.Tensor(rng.normal(size=(2, 6, 4))))
         assert bi.output_size == 10
-        assert steps.shape == (2, 6, 10)
         assert summary.shape == (2, 10)
 
     def test_summary_concatenates_directions(self, rng):
         bi = nn.BiLSTM(3, 4, rng)
         x = nn.Tensor(rng.normal(size=(2, 5, 3)))
-        _, summary = bi(x)
+        summary = bi(x)
         _, fwd = bi.forward_lstm(x)
         _, bwd = bi.backward_lstm(x)
         np.testing.assert_allclose(summary.data, np.concatenate([fwd.data, bwd.data], -1))
@@ -86,16 +85,15 @@ class TestBiLSTM:
         bi = nn.BiLSTM(3, 4, rng)
         x = rng.normal(size=(2, 5, 3))
         mask = np.array([[1, 1, 1, 1, 1], [1, 1, 0, 0, 0]], dtype=bool)
-        _, summary = bi(nn.Tensor(x), mask)
-        _, solo = bi(nn.Tensor(x[1:2, :2]))
+        summary = bi(nn.Tensor(x), mask)
+        solo = bi(nn.Tensor(x[1:2, :2]))
         np.testing.assert_allclose(summary.data[1], solo.data[0], atol=1e-12)
 
     def test_gradcheck(self, rng):
         bi = nn.BiLSTM(2, 2, rng)
 
         def build(ts):
-            _, summary = bi(ts[0])
-            return F.sum(summary)
+            return F.sum(bi(ts[0]))
 
         check_gradients(build, [rng.normal(size=(1, 3, 2))], rtol=1e-3)
 

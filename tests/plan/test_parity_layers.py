@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import LAYER_CASES
-from repro.nn import BiLSTM, GRU, LSTM, Tensor
+from repro.nn import BiLSTM, Tensor
 from repro.nn import functional as F
 from repro.nn.module import Module
 from repro.plan import compile_plan
@@ -20,7 +20,7 @@ from repro.plan import compile_plan
 TOL = 1e-9
 
 #: the layer kinds compile_plan actually replaces with executors/fusions.
-PLANNABLE = {"LSTM", "BiLSTM", "GRU", "ReviewAttention"}
+PLANNABLE = {"BiLSTM", "ReviewAttention"}
 
 
 def _closure_module(fn):
@@ -81,17 +81,17 @@ def test_registry_covers_all_layers():
     assert PLANNABLE < set(LAYER_CASES)
 
 
-def _recurrent_parity(build, shape, seed=7, empty_rows=0, x_grad=True):
-    """Run a recurrent layer planned and interpreted on larger, ragged
-    batches than the gradcheck cases use (varied lengths stress the
-    masked carry-forward and the capacity-based buffer pool).
+def _bilstm_parity(shape, hidden, seed=7, empty_rows=0, x_grad=True):
+    """Run a BiLSTM planned and interpreted on larger, ragged batches than
+    the gradcheck case uses (varied lengths stress the masked
+    carry-forward and the capacity-based buffer pool).
 
     The first ``empty_rows`` rows are fully masked; ``x_grad=False``
-    feeds an input that needs no gradient.  Returns the planned pass's parameter
-    grads."""
+    feeds an input that needs no gradient.  Compares the summary and
+    every gradient; returns the planned pass's parameter grads."""
     B, L, D = shape
     rng = np.random.default_rng(seed)
-    layer = build(rng)
+    layer = BiLSTM(D, hidden, rng)
     mask = np.zeros((B, L), dtype=bool)
     lengths = rng.integers(1, L + 1, size=B)
     lengths[:empty_rows] = 0
@@ -108,19 +108,16 @@ def _recurrent_parity(build, shape, seed=7, empty_rows=0, x_grad=True):
         )
         plan = compile_plan(layer).install() if planned else None
         try:
-            steps, summary = layer(x, mask)
-            w1 = np.random.default_rng(2).normal(size=steps.shape)
-            w2 = np.random.default_rng(3).normal(size=summary.shape)
-            loss = F.sum(steps * Tensor(w1)) + F.sum(summary * Tensor(w2))
-            loss.backward()
+            summary = layer(x, mask)
+            w = np.random.default_rng(3).normal(size=summary.shape)
+            F.sum(summary * Tensor(w)).backward()
         finally:
             if plan is not None:
                 plan.uninstall()
         grads = {n: np.array(p.grad, copy=True) for n, p in layer.named_parameters()}
-        results.append((steps.data.copy(), summary.data.copy(), x.grad, grads))
+        results.append((summary.data.copy(), x.grad, grads))
 
-    (s0, h0, dx0, g0), (s1, h1, dx1, g1) = results
-    assert np.max(np.abs(s0 - s1)) <= TOL
+    (h0, dx0, g0), (h1, dx1, g1) = results
     assert np.max(np.abs(h0 - h1)) <= TOL
     if x_grad:
         assert np.max(np.abs(dx0 - dx1)) <= TOL
@@ -132,56 +129,41 @@ def _recurrent_parity(build, shape, seed=7, empty_rows=0, x_grad=True):
     return g1
 
 
-def test_lstm_forward_large_ragged():
-    _recurrent_parity(lambda rng: LSTM(9, 11, rng), (17, 13, 9))
-
-
-def test_lstm_reverse_large_ragged():
-    _recurrent_parity(lambda rng: LSTM(9, 11, rng, reverse=True), (17, 13, 9))
-
-
 def test_bilstm_large_ragged():
-    _recurrent_parity(lambda rng: BiLSTM(8, 10, rng), (19, 12, 8))
+    _bilstm_parity((19, 12, 8), hidden=10)
 
 
 def test_bilstm_fully_masked_rows():
-    _recurrent_parity(lambda rng: BiLSTM(8, 10, rng), (19, 12, 8), empty_rows=3)
+    _bilstm_parity((19, 12, 8), hidden=10, empty_rows=3)
 
 
 def test_bilstm_input_without_grad():
-    build = lambda rng: BiLSTM(8, 10, rng)  # noqa: E731
-    with_dx = _recurrent_parity(build, (19, 12, 8))
-    without_dx = _recurrent_parity(build, (19, 12, 8), x_grad=False)
+    with_dx = _bilstm_parity((19, 12, 8), hidden=10)
+    without_dx = _bilstm_parity((19, 12, 8), hidden=10, x_grad=False)
     for key in with_dx:
         np.testing.assert_array_equal(without_dx[key], with_dx[key], err_msg=key)
 
 
 def test_bilstm_production_shape():
     # The review encoder's shape at train-yelp's default config.
-    _recurrent_parity(lambda rng: BiLSTM(20, 24, rng), (240, 18, 20))
+    _bilstm_parity((240, 18, 20), hidden=24)
 
 
-def test_gru_large_ragged():
-    _recurrent_parity(lambda rng: GRU(7, 9, rng), (15, 11, 7))
-
-
-def _check_pool_reuse(build):
+def test_bilstm_pool_reused_across_batch_sizes():
     # Deduplicated review batches vary in size every step; the pool must
     # serve each size as a view of one growing allocation, not a fresh
     # buffer per distinct shape.
     rng = np.random.default_rng(0)
-    layer = build(rng)
+    layer = BiLSTM(5, 6, rng)
     plan = compile_plan(layer).install()
     try:
         for batch in (8, 3, 12):
             x = Tensor(rng.normal(size=(batch, 4, 5)), requires_grad=True)
-            steps, _ = layer(x)
-            F.sum(steps).backward()
+            F.sum(layer(x)).backward()
         grown = plan.pool.stats()
         for batch in (5, 12, 1):
             x = Tensor(rng.normal(size=(batch, 4, 5)), requires_grad=True)
-            steps, _ = layer(x)
-            F.sum(steps).backward()
+            F.sum(layer(x)).backward()
         final = plan.pool.stats()
         # After the largest batch is seen, smaller/repeated batches are
         # pure hits: no new arrays, no new bytes, no new misses.
@@ -193,29 +175,28 @@ def _check_pool_reuse(build):
         plan.uninstall()
 
 
-def test_pool_reused_across_batch_sizes():
-    _check_pool_reuse(lambda rng: LSTM(5, 6, rng))
-
-
-def test_bilstm_pool_reused_across_batch_sizes():
-    _check_pool_reuse(lambda rng: BiLSTM(5, 6, rng))
-
-
 def test_bilstm_explain_lists_the_pooled_buffers():
     # `plan --explain` prints PlanEntry.buffers as the executor's buffer
-    # schedule; after one forward + backward the executor must have
-    # pooled exactly the buffers named there, no more and no fewer.
+    # schedule; after one forward + backward at the production shape the
+    # pool holds exactly the buffers named there, byte for byte, and
+    # backward writes the gate grads over `acts`: it is the only
+    # (L, 2, 4H, B) buffer.
+    B, L, D, H = 240, 18, 20, 24
     rng = np.random.default_rng(0)
-    layer = BiLSTM(5, 6, rng)
+    layer = BiLSTM(D, H, rng)
     plan = compile_plan(layer).install()
     try:
-        x = Tensor(rng.normal(size=(7, 4, 5)), requires_grad=True)
-        steps, summary = layer(x)
-        (F.sum(steps) + F.sum(summary)).backward()
+        x = Tensor(rng.normal(size=(B, L, D)), requires_grad=True)
+        F.sum(layer(x)).backward()
     finally:
         plan.uninstall()
     (entry,) = plan.entries
-    listed = {n for buf in entry.buffers for n in buf.split()[0].split(",")}
-    prefix = f"{entry.path}."
-    pooled = {n[len(prefix):] for n in plan.pool.names() if n.startswith(prefix)}
-    assert pooled == listed
+    explained = {}
+    for buf in entry.buffers:
+        names, shape = buf.split()[:2]
+        for n in names.split(","):
+            explained[n] = eval(shape, {"__builtins__": {}}, {"L": L, "B": B})
+    assert {n[len(entry.path) + 1:] for n in plan.pool.names()} == set(explained)
+    assert plan.pool.nbytes == 8 * sum(int(np.prod(s)) for s in explained.values())
+    gate_sized = [n for n, s in explained.items() if s == (L, 2, 4 * H, B)]
+    assert gate_sized == ["acts"]

@@ -13,14 +13,14 @@ import numpy as np
 import pytest
 
 from repro.analysis import snapshot_graph
-from repro.nn import LSTM, SGD, Tensor
+from repro.nn import SGD, BiLSTM, Tensor
 from repro.nn import functional as F
 from repro.plan import PlanSafetyError, compile_plan
 
 
-def _planned_lstm(seed=0, B=4, L=5, D=3, H=4):
+def _planned_bilstm(seed=0, B=4, L=5, D=3, H=4):
     rng = np.random.default_rng(seed)
-    layer = LSTM(D, H, rng)
+    layer = BiLSTM(D, H, rng)
     plan = compile_plan(layer).install()
     x = Tensor(rng.normal(size=(B, L, D)), requires_grad=True)
     return layer, plan, x
@@ -28,16 +28,14 @@ def _planned_lstm(seed=0, B=4, L=5, D=3, H=4):
 
 class TestVersionConflicts:
     def test_optimizer_step_before_backward_raises(self):
-        layer, plan, x = _planned_lstm()
+        layer, plan, x = _planned_bilstm()
         try:
             opt = SGD(layer.parameters(), lr=0.1)
             # First round populates gradients legitimately.
-            steps, _ = layer(x)
-            F.sum(steps).backward()
+            F.sum(layer(x)).backward()
             # Second forward, then the optimizer fires too early: the
             # parameter arrays the planned kernels captured are gone.
-            steps, _ = layer(x)
-            loss = F.sum(steps)
+            loss = F.sum(layer(x))
             opt.step()
             with pytest.raises(PlanSafetyError, match="version"):
                 loss.backward()
@@ -45,11 +43,10 @@ class TestVersionConflicts:
             plan.uninstall()
 
     def test_data_rebind_before_backward_raises(self):
-        layer, plan, x = _planned_lstm()
+        layer, plan, x = _planned_bilstm()
         try:
-            steps, _ = layer(x)
-            loss = F.sum(steps)
-            weight = layer.cell.weight
+            loss = F.sum(layer(x))
+            weight = layer.forward_lstm.cell.weight
             weight.data = weight.data * 1.0  # setter bumps the version
             with pytest.raises(PlanSafetyError, match="version"):
                 loss.backward()
@@ -57,10 +54,9 @@ class TestVersionConflicts:
             plan.uninstall()
 
     def test_input_mutation_before_backward_raises(self):
-        layer, plan, x = _planned_lstm()
+        layer, plan, x = _planned_bilstm()
         try:
-            steps, _ = layer(x)
-            loss = F.sum(steps)
+            loss = F.sum(layer(x))
             x.bump_version()  # declares an out-of-band write to x.data
             with pytest.raises(PlanSafetyError, match="version"):
                 loss.backward()
@@ -70,10 +66,9 @@ class TestVersionConflicts:
 
 class TestGenerationConflicts:
     def test_double_forward_invalidates_first_tape(self):
-        layer, plan, x = _planned_lstm()
+        layer, plan, x = _planned_bilstm()
         try:
-            steps, _ = layer(x)
-            first = F.sum(steps)
+            first = F.sum(layer(x))
             layer(x)  # overwrites the pooled activations
             with pytest.raises(PlanSafetyError, match="generation"):
                 first.backward()
@@ -81,12 +76,23 @@ class TestGenerationConflicts:
             plan.uninstall()
 
     def test_latest_forward_stays_valid(self):
-        layer, plan, x = _planned_lstm()
+        layer, plan, x = _planned_bilstm()
         try:
             layer(x)
-            steps, _ = layer(x)
-            F.sum(steps).backward()  # newest tape owns the buffers: fine
+            F.sum(layer(x)).backward()  # newest tape owns the buffers: fine
             assert x.grad is not None
+        finally:
+            plan.uninstall()
+
+    def test_second_backward_through_one_forward_raises(self):
+        # Backward writes the gate gradients over the pooled activations,
+        # so a replay of the same tape would read gradients as gates.
+        layer, plan, x = _planned_bilstm()
+        try:
+            loss = F.sum(layer(x))
+            loss.backward()
+            with pytest.raises(PlanSafetyError, match="second backward"):
+                loss.backward()
         finally:
             plan.uninstall()
 
@@ -95,14 +101,13 @@ class TestGraphValidatorAgreement:
     def test_no_inplace_kernel_runs_on_a_snapshot_conflict(self):
         # The PR-4 graph validator and the executor must agree: any
         # mutation the snapshot can see blocks the planned backward.
-        layer, plan, x = _planned_lstm()
+        layer, plan, x = _planned_bilstm()
         try:
-            steps, _ = layer(x)
-            loss = F.sum(steps)
+            loss = F.sum(layer(x))
             snapshot = snapshot_graph(loss)
             assert snapshot.find_mutations() == []  # clean tape: no issues
 
-            weight = layer.cell.weight
+            weight = layer.forward_lstm.cell.weight
             weight.data = weight.data + 0.5
             issues = snapshot.find_mutations()
             assert issues, "validator missed the parameter rebind"
@@ -117,14 +122,14 @@ class TestGraphValidatorAgreement:
     def test_training_loop_discipline_passes(self):
         # backward -> step -> next forward never trips the detectors:
         # the version bumps land before the next capture, not after.
-        layer, plan, x = _planned_lstm()
+        layer, plan, x = _planned_bilstm()
         try:
             opt = SGD(layer.parameters(), lr=0.05)
             losses = []
             for _ in range(3):
                 opt.zero_grad()
-                steps, last = layer(x)
-                loss = F.sum(steps * steps) + F.sum(last * last)
+                summary = layer(x)
+                loss = F.sum(summary * summary)
                 loss.backward()
                 opt.step()
                 losses.append(float(loss.data))
@@ -135,16 +140,15 @@ class TestGraphValidatorAgreement:
 
 class TestInstallLifecycle:
     def test_uninstall_restores_interpreted_mode(self):
-        layer, plan, x = _planned_lstm()
+        layer, plan, x = _planned_bilstm()
         plan.uninstall()
         assert layer._planned is None
-        steps, _ = layer(x)
-        F.sum(steps).backward()  # interpreted path, no safety machinery
+        F.sum(layer(x)).backward()  # interpreted path, no safety machinery
         assert x.grad is not None
 
     def test_context_manager_scopes_the_install(self):
         rng = np.random.default_rng(1)
-        layer = LSTM(3, 4, rng)
+        layer = BiLSTM(3, 4, rng)
         plan = compile_plan(layer)
         assert layer._planned is None
         with plan:
@@ -158,7 +162,7 @@ class TestInstallLifecycle:
             compile_plan(Linear(3, 2, np.random.default_rng(0)))
 
     def test_describe_mentions_safety_and_buffers(self):
-        layer, plan, _ = _planned_lstm()
+        layer, plan, _ = _planned_bilstm()
         try:
             text = plan.describe(explain=True)
             assert "PlanSafetyError" in text

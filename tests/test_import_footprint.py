@@ -32,6 +32,7 @@ LAZY_PACKAGES = (
     "repro.text",
     "repro.analysis",
     "repro.analysis.concurrency",
+    "repro.eval",
 )
 
 
@@ -58,6 +59,13 @@ def test_cli_module_loads_no_experiment_code():
     loaded = loaded_after("import repro.__main__")
     for banned in ("repro.eval", "repro.baselines", "networkx"):
         assert banned not in loaded
+
+
+def test_training_config_loads_no_experiment_code():
+    # perfbench's train-yelp process reads the benchmark config this way.
+    loaded = loaded_after("from repro.eval import bench_rrre_config")
+    for banned in ("repro.baselines", "networkx", "repro.eval.experiments"):
+        assert not any(name == banned or name.startswith(banned + ".") for name in loaded)
 
 
 @pytest.mark.parametrize("package", LAZY_PACKAGES)
