@@ -13,9 +13,9 @@
 #      spans) count both epochs.  The report's layer rows are layers that
 #      ran (none with 0 calls), and both BiLSTM rows record backward
 #      time, i.e. the profiler's probes pass the gradient on into the
-#      planned layers every fit runs on.  `plan --explain` on the same
-#      preset exits 0 and lists both review encoders as [bilstm] entries,
-#      each printing a `summary` out-line and no `steps` line.
+#      fused BiLSTM layers every fit runs on.  `plan --explain` on the
+#      same preset exits 0 and lists both review encoders as [bilstm]
+#      entries, each printing a `summary` out-line and no `steps` line.
 #   4. chaos recovery smoke — train with an injected mid-epoch crash,
 #      resume from the surviving checkpoints (exercising the CLI
 #      --checkpoint-dir/--resume path too), and assert the resumed
@@ -51,7 +51,8 @@
 #      and fails on >1.5x latency / <0.67x throughput; artifacts the
 #      bench steps have not refreshed compare equal and pass through.
 #      Intentional slowdowns are waived via REPRO_BENCH_WAIVER (see the
-#      script docstring and docs/execution_plan.md).
+#      script docstring and the perf-gate section of
+#      docs/execution_plan.md).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -96,14 +97,14 @@ bilstm = {l["name"]: l["backward_seconds"] for l in report["layers"]
           if l["name"].endswith(".bilstm")}
 assert len(bilstm) == 2, f"expected two BiLSTM layer rows, got {sorted(bilstm)}"
 dead = [name for name, seconds in bilstm.items() if not seconds > 0]
-assert not dead, f"planned BiLSTM rows record no backward time: {dead}"
+assert not dead, f"fused BiLSTM rows record no backward time: {dead}"
 
 prom = (smoke / "run.jsonl.prom").read_text()
 assert "# TYPE repro_epoch_seconds histogram" in prom
 
 print("smoke run OK:", len(events), "events,", len(kinds), "span kinds")
 PY
-# The compiled plan as `plan --explain` prints it: one [bilstm] entry per
+# The fused layers as `plan --explain` prints them: one [bilstm] entry per
 # review encoder, each with a summary out-line and no per-step output.
 python -m repro plan --dataset yelpchi --scale 0.15 --explain > "$SMOKE_DIR/plan.log"
 bilstm_entries=$(grep -c "\[bilstm\]" "$SMOKE_DIR/plan.log" || true)

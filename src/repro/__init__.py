@@ -4,7 +4,9 @@ Explanations" (RRRE, ICDE 2021).
 Subpackages
 -----------
 ``repro.nn``
-    From-scratch autograd + neural-network substrate (numpy).
+    From-scratch autograd + neural-network substrate (numpy).  The
+    BiLSTM review encoder and the attention softmax run as fused tape
+    nodes (see ``docs/execution_plan.md``).
 ``repro.text``
     Tokenization, vocabulary, pretrained word vectors.
 ``repro.data``

@@ -20,8 +20,8 @@ Usage::
     python -m repro analyze --shapes --graph  # config + autograd validation
     python -m repro analyze --concurrency  # lock-discipline lint (LOCK001-004)
     python -m repro analyze --concurrency --dynamic  # + race-detector exercise
-    python -m repro plan                   # compile the execution plan, print it
-    python -m repro plan --explain         # + inferred shapes and buffer schedule
+    python -m repro plan                   # list the fused layers of the model
+    python -m repro plan --explain         # + inferred shapes and per-call scratch
     python -m repro export-embeddings --out store/  # train + export serving store
     python -m repro serve --store store/ --port 8080  # online top-K HTTP API
 
@@ -35,10 +35,10 @@ renders such an event file as a live status board.  For table/figure
 experiments ``--report-json`` dumps the regenerated artifact's raw
 numbers instead.
 
-``plan`` prints the plan-then-execute hot path every RRRE model trains
-and predicts on (see ``docs/execution_plan.md``) — the fused recurrent
-executors, the attention softmax fusion, and with ``--explain`` the
-inferred symbolic shapes plus each executor's pooled buffer schedule.
+``plan`` prints the fused layers every RRRE model trains and predicts
+on (see ``docs/execution_plan.md``) — the BiLSTM review encoders and
+the attention softmax, and with ``--explain`` the inferred output
+shapes plus each layer's per-call scratch.
 
 ``analyze`` runs the static-analysis suite (see ``docs/analysis.md``):
 symbolic shape validation of the default config, autograd-graph
@@ -106,7 +106,7 @@ SUBCOMMANDS: Dict[str, str] = {
     "train": "one telemetry-enabled RRRE fit (profiling, events, checkpoints)",
     "watch": "render a trace event file as a live status board",
     "analyze": "static-analysis suite: shapes, graph, gradcheck, lint, concurrency",
-    "plan": "compile the plan-then-execute hot path and print it",
+    "plan": "print the model's fused layers and their per-call scratch",
     "export-embeddings": "fit RRRE and export the serving embedding store",
     "serve": "HTTP recommendation API over an exported store",
 }
@@ -232,8 +232,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--explain",
         action="store_true",
-        help="for 'plan': also print inferred shapes and the pooled "
-        "buffer schedule of every planned module",
+        help="for 'plan': also print inferred shapes and the per-call "
+        "scratch of every fused layer",
     )
     parser.add_argument(
         "--follow",
@@ -446,41 +446,61 @@ def run_plan(
     explain: bool = False,
     report_json: Optional[str] = None,
 ) -> int:
-    """Print the execution plan of the default model.
+    """Print the fused layers of the default model.
 
     Builds the same model ``train`` would fit (vocabulary and entity
-    counts come from the dataset preset), which compiles and installs
-    its plan, and prints :meth:`repro.plan.ExecutionPlan.describe`.
-    ``explain`` adds the inferred symbolic output shapes and the pooled
-    buffer schedule per planned module — the reference for reading
-    ``docs/execution_plan.md`` against a live model.
+    counts come from the dataset preset) and prints one line per
+    :class:`repro.nn.BiLSTM` / :class:`repro.nn.ReviewAttention` from its
+    ``describe(batch, length)``, at the config's batch size and review
+    length.  ``explain`` adds the inferred output shapes and the
+    per-call scratch of each layer, and a trailer with their total.
     """
     from .core import RRRETrainer, fast_config
     from .data import load_dataset, train_test_split
+    from .nn import BiLSTM, ReviewAttention
 
     trainer = RRRETrainer(fast_config())
     dataset = load_dataset(dataset_name, seed=0, scale=scale)
     train, _ = train_test_split(dataset, seed=0)
     trainer._prepare(dataset, train)
-    plan = trainer.plan
-    print(plan.describe(explain=explain))
+    batch, length = trainer.config.batch_size, trainer.config.max_len
+    entries = [
+        {"path": path, **module.describe(batch, length)}
+        for path, module in trainer.model.named_modules()
+        if isinstance(module, (BiLSTM, ReviewAttention))
+    ]
+    scratch = sum(row[2] for entry in entries for row in entry["scratch"])
+    lines = [f"execution plan: {len(entries)} fused module(s) [B={batch}, L={length}]"]
+    width = max((len(entry["path"]) for entry in entries), default=0)
+    for entry in entries:
+        lines.append(f"  {entry['path']:<{width}}  [{entry['kind']}] {entry['summary']}")
+        if explain:
+            pad = f"  {'':<{width}}    "
+            lines.extend(f"{pad}out: {spec}" for spec in entry["out"])
+            lines.extend(
+                f"{pad}scratch: {names} ({','.join(map(str, shape))}) {nbytes:,} B, {role}"
+                for names, shape, nbytes, role in entry["scratch"]
+            )
+    lines.append(f"per-call scratch at B={batch}, L={length}: {scratch:,} bytes")
+    lines.append(
+        "safety: outputs and scratch fresh per call, freed with the tape; "
+        "parameter/input version counters re-checked at backward, at most "
+        "one backward per forward (PlanSafetyError — see "
+        "docs/execution_plan.md)"
+    )
+    print("\n".join(lines))
     if report_json:
         from .obs.report import SCHEMA_VERSION, _jsonable
 
         payload = {
             "schema_version": SCHEMA_VERSION,
             "dataset": dataset_name,
-            "stats": _jsonable(plan.stats()),
-            "entries": [
-                {
-                    "path": e.path,
-                    "kind": e.kind,
-                    "summary": e.summary,
-                    "shapes": list(e.shapes),
-                    "buffers": list(e.buffers),
-                }
-                for e in plan.entries
-            ],
+            "stats": {
+                "modules": len(entries),
+                "kinds": sorted({entry["kind"] for entry in entries}),
+                "scratch_bytes": scratch,
+            },
+            "entries": _jsonable(entries),
         }
         with open(report_json, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

@@ -26,11 +26,10 @@ MUT002    Call-based in-place write to a ``.data`` array: an ``out=``
           ``np.copyto(p.data, …)``, a ufunc ``.at`` on ``.data``, or a
           mutating ndarray method (``p.data.fill(…)``, ``.sort()``, …).
           These bypass the version-counter bump the assignment setter
-          performs, so the graph validator and the planned executors
-          cannot see the mutation.  Only the two optimizer update sites
-          (which call ``bump_version()`` themselves) are whitelisted;
-          :mod:`repro.plan` is exempt — the plan executor is the
-          sanctioned engine for such writes and proves them safe.
+          performs, so the graph validator and the fused BiLSTM's
+          backward cannot see the mutation.  Only the two optimizer
+          update sites (which call ``bump_version()`` themselves) are
+          whitelisted.
 LOCK001   Shared attribute accessed both under and outside the lock
           that guards it elsewhere in the class (see
           :mod:`repro.analysis.concurrency.lint_locks`).
@@ -45,7 +44,7 @@ LOCK004   Manual ``acquire()`` whose ``release()`` is not in a
 The ``LOCK00x`` rules live in
 :mod:`repro.analysis.concurrency.lint_locks` and run on every module
 except the concurrency package itself (which manipulates locks by
-design, mirroring the :mod:`repro.plan` MUT002 exemption).
+design).
 
 A violation is suppressed by appending ``# lint: allow[RULE001]`` (one
 or more comma-separated rule IDs) to the offending line, which is how
@@ -72,7 +71,7 @@ RULES: Dict[str, str] = {
     "TIME001": "wall-clock read (time.time/datetime.now); confine timestamps to repro.obs",
     "DTYPE001": "dtype-less np.array/np.asarray in repro.nn; the substrate is float64-only",
     "MUT001": "assignment to a Tensor .data attribute outside a whitelisted optimizer site",
-    "MUT002": "call-based in-place write to a .data array outside the plan executor",
+    "MUT002": "call-based in-place write to a .data array outside a whitelisted optimizer site",
     "LOCK001": "shared attribute accessed both under and outside its guarding lock",
     "LOCK002": "inconsistent lock acquisition order across methods (potential deadlock)",
     "LOCK003": "blocking call (I/O, sleep, result/wait without timeout) while holding a lock",
@@ -163,10 +162,9 @@ def _attribute_chain(node: ast.AST) -> List[str]:
 
 
 class _Visitor(ast.NodeVisitor):
-    def __init__(self, path: str, in_nn: bool, in_plan: bool = False) -> None:
+    def __init__(self, path: str, in_nn: bool) -> None:
         self.path = path
         self.in_nn = in_nn
-        self.in_plan = in_plan
         self.violations: List[LintViolation] = []
         self.numpy_aliases: Set[str] = {"np", "numpy"}
         self.imports_stdlib_random = False
@@ -224,8 +222,7 @@ class _Visitor(ast.NodeVisitor):
                 node,
                 f"{'.'.join(chain)} without an explicit dtype in repro.nn",
             )
-        if not self.in_plan:
-            self._check_call_mutation(node, chain)
+        self._check_call_mutation(node, chain)
         self.generic_visit(node)
 
     def _check_call_mutation(self, node: ast.Call, chain: List[str]) -> None:
@@ -299,7 +296,6 @@ def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
     """Lint one module's source text; returns pragma-filtered violations."""
     parts = Path(path).parts
     in_nn = "nn" in parts
-    in_plan = "plan" in parts
     in_concurrency = "concurrency" in parts
     try:
         tree = ast.parse(source, filename=path)
@@ -309,12 +305,12 @@ def lint_source(source: str, path: str = "<string>") -> List[LintViolation]:
                 "SYNTAX", path, exc.lineno or 0, exc.offset or 0, f"unparsable: {exc.msg}"
             )
         ]
-    visitor = _Visitor(path, in_nn, in_plan)
+    visitor = _Visitor(path, in_nn)
     visitor.visit(tree)
     if not in_concurrency:
         # Deferred import: lint_locks needs LintViolation from this module.
         # The concurrency package itself is exempt — it is the sanctioned
-        # engine for raw lock manipulation, mirroring the plan/MUT002 rule.
+        # engine for raw lock manipulation.
         from .concurrency.lint_locks import collect_lock_violations
 
         visitor.violations.extend(collect_lock_violations(tree, path))

@@ -92,7 +92,6 @@ def _profile_attention(trainer, user_id, item_id, side):
     out = trainer.model(
         np.array([user_id]), np.array([item_id]), trainer.slots, trainer.table
     )
-    trainer._release_scratch()
     if side == "user":
         weights = out.user_attention.data[0]
         slots = trainer.slots.user_slots[user_id]

@@ -137,7 +137,6 @@ class SemiSupervisedRRRETrainer(RRRETrainer):
                         f"[{dataset.name}] round {round_no}: "
                         f"{self.state.pseudo_labeled} pseudo-labels adopted"
                     )
-        self._release_scratch()
         return self
 
     # ------------------------------------------------------------------

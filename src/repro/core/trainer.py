@@ -112,9 +112,6 @@ class RRRETrainer:
         self.metrics_registry: Optional[MetricsRegistry] = None
         #: Health monitors of the last telemetry-enabled :meth:`fit`.
         self.health: Optional[HealthSuite] = None
-        #: The installed :class:`repro.plan.ExecutionPlan` the model runs
-        #: on (see ``docs/execution_plan.md``); set with the model.
-        self.plan = None
         self._profiles: Optional[ProfileTable] = None
 
     # ------------------------------------------------------------------
@@ -260,7 +257,6 @@ class RRRETrainer:
             [asdict(record) for record in self.history],
             **self._report_sections(dataset, train),
         )
-        self._release_scratch()
         return self
 
     def _report_sections(self, dataset: ReviewDataset, train: ReviewSubset) -> Dict:
@@ -289,10 +285,7 @@ class RRRETrainer:
 
         The token table (vocabulary from ``dataset``), the latest-``m``
         review slots and the clip range of predicted ratings (from
-        ``train``), then :class:`RRRE` sized to them, installed on its
-        compiled :attr:`plan`: the recurrent encoders and the attention
-        softmax run as fused executors over pooled scratch, matching the
-        interpreted layers to ≤1e-9 (``tests/plan/``).  Deterministic, so
+        ``train``), then :class:`RRRE` sized to them.  Deterministic, so
         :meth:`load` rebuilds exactly what :meth:`fit` trained on.
         """
         cfg = self.config
@@ -311,20 +304,6 @@ class RRRETrainer:
             num_items=dataset.num_items,
             vocab_size=len(self.table.vocab),
         )
-        self.plan = None
-        # Only a CNN/mean encoder under mean pooling has nothing to plan.
-        if cfg.encoder == "bilstm" or cfg.pooling == "attention":
-            from repro.plan import compile_plan
-
-            self.plan = compile_plan(
-                self.model, batch_size=cfg.batch_size, seq_len=cfg.max_len
-            ).install()
-
-    def _release_scratch(self) -> None:
-        """Drop the plan's pooled scratch, so an idle trainer holds none;
-        the next forward regrows it."""
-        if self.plan is not None:
-            self.plan.pool.clear()
 
     def _pretrain_words(self, dataset: ReviewDataset, train: ReviewSubset) -> None:
         """Initialise the word embedding with skip-gram vectors of the train reviews."""
@@ -527,7 +506,6 @@ class RRRETrainer:
         table = self._profiles
         if table is None or not table.is_current(self.model, self.slots, self.table):
             table = ProfileTable.build(self.model, self.slots, self.table, self._rating_range)
-            self._release_scratch()
             self._profiles = table
         return table
 

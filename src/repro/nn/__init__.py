@@ -9,7 +9,9 @@ reverse-mode autodiff.  Public surface:
 * Layers: :class:`Linear`, :class:`Embedding`, :class:`Dropout`,
   :class:`MLP`, :class:`LSTM`, :class:`BiLSTM`, :class:`GRU`,
   :class:`Conv1d`, :class:`TextCNN`, :class:`ReviewAttention`,
-  :class:`FactorizationMachine`
+  :class:`FactorizationMachine`; :class:`BiLSTM` and
+  :class:`ReviewAttention` run fused, and :class:`PlanSafetyError` is
+  what the fused BiLSTM's backward raises on stale state
 * Losses: :func:`mse_loss`, :func:`weighted_mse_loss` (Eq. 14),
   :func:`cross_entropy_loss` (Eq. 11), :func:`binary_cross_entropy_loss`,
   :func:`l2_penalty`
@@ -31,7 +33,7 @@ from .losses import (
 )
 from .module import Module, Parameter
 from .optim import SGD, Adam, Optimizer, RMSprop, clip_grad_norm
-from .recurrent import GRU, LSTM, BiLSTM, GRUCell, LSTMCell
+from .recurrent import GRU, LSTM, BiLSTM, GRUCell, LSTMCell, PlanSafetyError
 from .schedule import CosineAnnealingLR, EarlyStopping, ExponentialLR, LRScheduler, StepLR
 from .tensor import Tensor, ensure_tensor
 
@@ -55,6 +57,7 @@ __all__ = [
     "Module",
     "Optimizer",
     "Parameter",
+    "PlanSafetyError",
     "RMSprop",
     "ReviewAttention",
     "SGD",

@@ -56,10 +56,6 @@ class ReviewAttention(Module):
     ) -> None:
         super().__init__()
         self.include_own = include_own
-        #: Set by ``repro.plan.ExecutionPlan.install`` — fuses the
-        #: masked_fill + softmax pair into one tape node (bitwise-equal
-        #: forward, merged backward). False = interpreted mode.
-        self._fused_softmax = False
         self.w_review = Parameter(init.xavier_uniform((review_dim, attention_dim), rng), "W_rev")
         if include_own:
             self.w_own = Parameter(
@@ -111,17 +107,25 @@ class ReviewAttention(Module):
             mask = np.asarray(mask, dtype=bool)
             if not mask.any(axis=1).all():
                 raise ValueError("every row needs at least one unmasked review")
-            if self._fused_softmax:
-                from repro.plan.fused import masked_softmax
-
-                weights = masked_softmax(scores, ~mask)  # (B, m)
-            else:
-                scores = F.masked_fill(scores, ~mask, -1e9)
-                weights = F.softmax(scores, axis=-1)  # (B, m)
+            weights = F.masked_softmax(scores, ~mask)  # (B, m)
         else:
             weights = F.softmax(scores, axis=-1)  # (B, m)
         pooled = F.squeeze(F.matmul(F.expand_dims(weights, 1), reviews), axis=1)
         return pooled, weights
+
+    def describe(self, batch: int, length: int) -> dict:
+        """The fused softmax for ``python -m repro plan --explain``, in the
+        shape of :meth:`repro.nn.BiLSTM.describe`; it keeps no scratch
+        (``length`` is unused: attention runs over review slots)."""
+        return {
+            "kind": "attention",
+            "summary": (
+                "masked softmax fused: fill(-1e9) + shift + exp + normalize "
+                "collapse into one tape node with a merged backward"
+            ),
+            "out": [f"weights ({batch}, m) float64"],
+            "scratch": [],
+        }
 
     def shape_spec(self, reviews, own_embedding, other_embeddings, mask=None):
         from repro.analysis import shapes as S

@@ -493,6 +493,30 @@ def masked_fill(a: ArrayLike, mask: np.ndarray, value: float) -> Tensor:
     )
 
 
+def masked_softmax(a: ArrayLike, mask: np.ndarray) -> Tensor:
+    """``softmax(masked_fill(a, mask, -1e9), axis=-1)`` as one tape node.
+
+    The forward runs the two ops' expressions in the same order (fill
+    with the same constant, shift by the row max, exponentiate,
+    normalize), so values are bitwise-equal; the backward composes the
+    softmax VJP with the fill's gradient gate (``* ~mask``) in the order
+    the two-node tape would.
+    """
+    a = ensure_tensor(a)
+    mask = np.asarray(mask, dtype=bool)
+    filled = np.where(mask, -1e9, a.data)
+    shifted = filled - filled.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    value = e / e.sum(axis=-1, keepdims=True)
+    keep = ~mask
+
+    def backward(g: np.ndarray):
+        dot = (g * value).sum(axis=-1, keepdims=True)
+        return ((value * (g - dot)) * keep,)
+
+    return Tensor(value, requires_grad=a.requires_grad, parents=(a,), backward_fn=backward)
+
+
 def dropout(a: ArrayLike, rate: float, rng: np.random.Generator, training: bool = True) -> Tensor:
     """Inverted dropout: scales kept activations by ``1/(1-rate)``."""
     a = ensure_tensor(a)

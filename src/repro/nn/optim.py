@@ -25,7 +25,7 @@ def _descend(param: Parameter, update: np.ndarray) -> None:
     write is an out=-style ufunc call — bitwise-identical to the old
     ``param.data -= update`` rebind — followed by
     :meth:`repro.nn.Tensor.bump_version`, which keeps the version
-    counters honest for the graph validator and the planned executors'
+    counters honest for the graph validator and the fused BiLSTM's
     backward-time safety checks.
     """
     np.subtract(param.data, update, out=param.data)  # lint: allow[MUT002] — optimizer update site: post-backward, before the next tape

@@ -5,7 +5,8 @@ repository (RRRE itself plus the DeepCoNN / NARRE / DER baselines).  It
 implements a define-by-run tape: each differentiable operation produces a
 new :class:`Tensor` that remembers its parents and a closure computing the
 local vector-Jacobian product.  Calling :meth:`Tensor.backward` walks the
-tape in reverse topological order and accumulates gradients.
+tape in reverse topological order and accumulates gradients into the
+leaves.
 
 Design notes
 ------------
@@ -93,8 +94,9 @@ class Tensor:
     data:
         Array-like payload; converted to a ``float64`` ndarray.
     requires_grad:
-        Whether gradients should be accumulated into ``self.grad`` during
-        :meth:`backward`.
+        Whether gradients should flow to this tensor during
+        :meth:`backward`; a leaf (no ``backward_fn``) accumulates them
+        into ``self.grad``.
     parents:
         The tensors this node was computed from (internal).
     backward_fn:
@@ -171,8 +173,7 @@ class Tensor:
         """Record a sanctioned in-place write to :attr:`data`.
 
         Writers that mutate the underlying array through ``out=``-style
-        kernels (the optimizer update sites, the plan executor's pooled
-        buffers) bypass the ``data`` setter; calling this afterwards keeps
+        kernels (the optimizer update sites) bypass the ``data`` setter; calling this afterwards keeps
         the version counter — and therefore the graph validator's
         mutation detection — truthful about the write.
         """
@@ -248,8 +249,11 @@ class Tensor:
         """Backpropagate from this tensor through the recorded tape.
 
         ``grad`` defaults to ones (a scalar loss gets seed 1.0).  Gradients
-        accumulate additively in every reachable tensor with
-        ``requires_grad=True``.
+        accumulate additively in ``.grad`` of every reachable leaf (a
+        tensor with ``requires_grad=True`` and no backward function:
+        parameters and inputs).  Intermediate nodes pass their gradient
+        on and keep ``.grad`` ``None``, so the tape holds no per-node
+        gradient arrays.
         """
         if grad is None:
             grad = np.ones_like(self.data)
@@ -269,9 +273,9 @@ class Tensor:
             node_grad = pending.pop(id(node), None)
             if node_grad is None:
                 continue
-            if node.requires_grad:
-                node.grad = node_grad if node.grad is None else node.grad + node_grad
             if node._backward_fn is None:
+                if node.requires_grad:
+                    node.grad = node_grad if node.grad is None else node.grad + node_grad
                 continue
             parent_grads = node._backward_fn(node_grad)
             for parent, pgrad in zip(node._parents, parent_grads):

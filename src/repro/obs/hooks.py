@@ -243,7 +243,7 @@ class ModuleProfiler:
                 cell["mark"] = now
             return (grad,)
 
-        # The probe inherits requires_grad: planned executors skip the
+        # The probe inherits requires_grad: the fused BiLSTM skips the
         # input gradient of a tensor that does not require one.
         return Tensor(
             tensor.data,

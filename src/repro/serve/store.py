@@ -543,7 +543,6 @@ def export_store(
         want = forward_scores(
             model, trainer.slots, trainer.table, profiles.rating_range, users, items
         )
-        trainer._release_scratch()
         np.testing.assert_allclose(
             got[0], want[0], rtol=1e-9, atol=1e-9,
             err_msg="store ratings diverge from the model",

@@ -119,10 +119,11 @@ class TestMUT002:
         src = "import numpy as np\nnp.subtract(a, b, out=scratch)\n"
         assert lint_source(src, "mod.py") == []
 
-    def test_plan_package_exempt(self):
-        # The plan executor is the sanctioned engine for in-place writes.
-        src = "import numpy as np\nnp.copyto(p.data, x)\n"
-        assert lint_source(src, "src/repro/plan/recurrent.py") == []
+    def test_plan_path_not_exempt(self):
+        # No package is exempt from MUT002: a path component named
+        # "plan" gets no pass.
+        src = "import numpy as np\nnp.multiply(a, b, out=p.data)\n"
+        assert rules_of(lint_source(src, "src/repro/plan/recurrent.py")) == ["MUT002"]
 
     def test_reading_method_allowed(self):
         src = "x = p.data.sum()\n"

@@ -1,6 +1,9 @@
 """The profile table behind offline inference: parity with the pairwise
 model forward, rebuilds on every weight change, reuse otherwise."""
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,7 @@ from repro.core import (
 )
 from repro.core.profiles import ProfileTable, forward_scores
 from repro.data import load_dataset, train_test_split
-from repro.nn import Adam
+from repro.nn import Adam, BiLSTM, ReviewAttention, Tensor
 from repro.obs import Tracer, use_tracer
 from repro.serve import export_store
 
@@ -73,44 +76,71 @@ class TestParity:
 
 
 class TestPlannedTrainer:
-    """Every trainer runs on its installed plan; an idle one holds no scratch."""
+    """Every trainer runs the fused layers; an idle one holds no scratch."""
 
     @staticmethod
-    def pool_bytes(trainer):
-        return trainer.plan.pool.stats()["bytes"]
+    def retained_bytes(trainer):
+        """Traced bytes left allocated by a round of export and inspection."""
+        export_store(trainer)  # its parity check runs a pairwise forward
+        item_profile_attention(trainer, 0)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            export_store(trainer)
+            item_profile_attention(trainer, 0)
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def fused_layers(trainer):
+        return {
+            path: module
+            for path, module in trainer.model.named_modules()
+            if isinstance(module, (BiLSTM, ReviewAttention))
+        }
 
     def test_idle_trainer_holds_no_scratch(self, data):
         dataset, train, _ = data
         trainer = RRRETrainer(fast_config(epochs=1, seed=5)).fit(dataset, train)
-        assert trainer.plan.installed
-        assert self.pool_bytes(trainer) == 0
-        encoder = next(e.executor for e in trainer.plan.entries if e.kind == "bilstm")
-        calls = encoder.generation
-        trainer.profiles()
-        assert encoder.generation > calls  # the build ran the planned encoder
-        assert self.pool_bytes(trainer) == 0
-        export_store(trainer)  # its parity check runs a pairwise forward
-        assert self.pool_bytes(trainer) == 0
-        item_profile_attention(trainer, 0)
-        assert self.pool_bytes(trainer) == 0
+        trainer.profiles()  # the cached table is the one thing kept
+        assert self.retained_bytes(trainer) <= 64 * 1024
 
     def test_semi_supervised_and_loaded_trainers_are_planned(self, data, fitted, tmp_path):
         dataset, train, _ = data
         semi = SemiSupervisedRRRETrainer(fast_config(epochs=1, seed=5), rounds=1).fit(
             dataset, train
         )
-        assert semi.plan.installed
-        assert self.pool_bytes(semi) == 0
         path = tmp_path / "model.npz"
         fitted.save(path)
         loaded = RRRETrainer(fast_config(epochs=1, seed=5)).load(path, dataset, train)
-        assert loaded.plan.installed
+        kinds = {type(m) for m in self.fused_layers(fitted).values()}
+        assert kinds == {BiLSTM, ReviewAttention}
+        for trainer in (semi, loaded):
+            layers = self.fused_layers(trainer)
+            assert layers.keys() == self.fused_layers(fitted).keys()
+            for name, layer in layers.items():
+                if not isinstance(layer, BiLSTM):
+                    continue
+                size = layer.forward_lstm.cell.input_size
+                x = Tensor(np.random.default_rng(0).normal(size=(3, 5, size)))
+                fused = layer(x).data
+                reference = layer.reference_forward(x).data
+                assert np.max(np.abs(fused - reference)) <= 1e-9, name
+        semi.profiles()
+        assert self.retained_bytes(semi) <= 64 * 1024
 
     def test_nothing_to_plan_trains_interpreted(self, data):
         dataset, train, _ = data
         config = fast_config(epochs=1, seed=5, encoder="cnn", pooling="mean")
         trainer = RRRETrainer(config).fit(dataset, train)
-        assert trainer.plan is None
+        fused = [
+            path
+            for path, module in trainer.model.named_modules()
+            if isinstance(module, (BiLSTM, ReviewAttention))
+        ]
+        assert fused == []
         assert_matches_forward(trainer)
 
 

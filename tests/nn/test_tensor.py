@@ -69,6 +69,15 @@ class TestBackward:
         ((x + 1.0) * (x + 2.0)).backward()
         assert x.grad == pytest.approx(13.0)
 
+    def test_only_leaves_keep_gradients(self):
+        x = Tensor(3.0, requires_grad=True)
+        sq = x * x
+        y = sq + 1.0
+        y.backward()
+        assert x.grad == pytest.approx(6.0)
+        assert sq.requires_grad and sq.grad is None
+        assert y.grad is None  # the root is not a leaf either
+
     def test_backward_seed_shape_mismatch_raises(self):
         x = Tensor(np.zeros(3), requires_grad=True)
         with pytest.raises(ValueError, match="seed shape"):

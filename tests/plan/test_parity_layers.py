@@ -1,12 +1,15 @@
-"""Planned vs interpreted parity for every repro.nn layer (≤1e-9).
+"""Fused vs reference parity for every repro.nn layer (≤1e-9).
 
 Each registered gradcheck case is run twice from the same seed — once
-interpreted, once with ``compile_plan`` installed on the layer — and the
-forward outputs, loss, and every input/parameter gradient must agree to
-1e-9.  Layers the plan does not cover (Linear, Conv1d, …) compile to
-nothing and run interpreted in both passes, which pins down that the
-plan machinery never perturbs modules outside its catalogue.
+with the layers' reference compositions (``BiLSTM.reference_forward``;
+``masked_fill`` → ``softmax`` for the attention), once as the layers run
+by default — and the forward outputs, loss, and every input/parameter
+gradient must agree to 1e-9.  Layers without a fused form (Linear,
+Conv1d, …) run the same code in both passes, which pins down that the
+reference switch never perturbs them.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,106 +17,106 @@ import pytest
 from repro.analysis import LAYER_CASES
 from repro.nn import BiLSTM, Tensor
 from repro.nn import functional as F
-from repro.nn.module import Module
-from repro.plan import compile_plan
+
+from .conftest import reference_masked_softmax
 
 TOL = 1e-9
 
-#: the layer kinds compile_plan actually replaces with executors/fusions.
-PLANNABLE = {"BiLSTM", "ReviewAttention"}
+#: the layer kinds that run fused by default.
+FUSED = {"BiLSTM", "ReviewAttention"}
 
 
-def _closure_module(fn):
-    """Recover the layer a LAYER_CASES closure was built around."""
-    for cell in fn.__closure__ or ():
-        if isinstance(cell.cell_contents, Module):
-            return cell.cell_contents
-    raise AssertionError("layer case closure holds no Module")
-
-
-def _run_case(name, planned):
+def _run_case(name):
     rng = np.random.default_rng(0)
     fn, inputs, params = LAYER_CASES[name](rng)
-    module = _closure_module(fn)
-    plan = None
-    if planned:
-        try:
-            plan = compile_plan(module).install()
-        except ValueError:
-            plan = None  # nothing plannable in this layer: trivial parity
-    try:
-        outputs = fn(*inputs)
-        if isinstance(outputs, Tensor):
-            outputs = (outputs,)
-        loss = None
-        for k, out in enumerate(outputs):
-            # Fixed random projection: a plain sum would hide permuted or
-            # sign-flipped elements that happen to cancel.
-            w = np.random.default_rng(100 + k).normal(size=out.shape)
-            term = F.sum(out * Tensor(w))
-            loss = term if loss is None else loss + term
-        loss.backward()
-    finally:
-        if plan is not None:
-            plan.uninstall()
+    outputs = fn(*inputs)
+    if isinstance(outputs, Tensor):
+        outputs = (outputs,)
+    loss = None
+    for k, out in enumerate(outputs):
+        # Fixed random projection: a plain sum would hide permuted or
+        # sign-flipped elements that happen to cancel.
+        w = np.random.default_rng(100 + k).normal(size=out.shape)
+        term = F.sum(out * Tensor(w))
+        loss = term if loss is None else loss + term
+    loss.backward()
     outs = [np.array(o.data, copy=True) for o in outputs]
     grads = [np.array(t.grad, copy=True) for t in [*inputs, *params]]
     return outs, float(loss.data), grads
 
 
 @pytest.mark.parametrize("name", sorted(LAYER_CASES))
-def test_layer_parity(name):
-    interp_outs, interp_loss, interp_grads = _run_case(name, planned=False)
-    plan_outs, plan_loss, plan_grads = _run_case(name, planned=True)
-    assert len(interp_outs) == len(plan_outs)
-    for a, b in zip(interp_outs, plan_outs):
+def test_layer_parity(name, reference_layers):
+    with reference_layers():
+        ref_outs, ref_loss, ref_grads = _run_case(name)
+    outs, loss, grads = _run_case(name)
+    assert len(ref_outs) == len(outs)
+    for a, b in zip(ref_outs, outs):
         assert np.max(np.abs(a - b)) <= TOL
-    assert abs(interp_loss - plan_loss) <= TOL
-    assert len(interp_grads) == len(plan_grads)
-    for a, b in zip(interp_grads, plan_grads):
+    assert abs(ref_loss - loss) <= TOL
+    assert len(ref_grads) == len(grads)
+    for a, b in zip(ref_grads, grads):
         assert np.max(np.abs(a - b)) <= TOL
 
 
 def test_registry_covers_all_layers():
     # The parity sweep above is only meaningful if it really spans the
-    # substrate: 14 layers, including every plannable kind.
+    # substrate: 14 layers, including every fused kind.
     assert len(LAYER_CASES) == 14
-    assert PLANNABLE < set(LAYER_CASES)
+    assert FUSED < set(LAYER_CASES)
 
 
-def _bilstm_parity(shape, hidden, seed=7, empty_rows=0, x_grad=True):
-    """Run a BiLSTM planned and interpreted on larger, ragged batches than
-    the gradcheck case uses (varied lengths stress the masked
-    carry-forward and the capacity-based buffer pool).
+def test_masked_softmax_matches_two_op_reference():
+    rng = np.random.default_rng(4)
+    scores = rng.normal(size=(6, 9))
+    mask = rng.random((6, 9)) < 0.4
+    mask[:, 0] = False  # every row keeps one slot
+    g = rng.normal(size=(6, 9))
+    results = []
+    for fn in (reference_masked_softmax, F.masked_softmax):
+        x = Tensor(scores, requires_grad=True)
+        out = fn(x, mask)
+        out.backward(g)
+        results.append((out.data, x.grad))
+    (v0, g0), (v1, g1) = results
+    np.testing.assert_array_equal(v0, v1)
+    assert np.max(np.abs(g0 - g1)) <= TOL
+    assert (g1[mask] == 0.0).all()
 
-    The first ``empty_rows`` rows are fully masked; ``x_grad=False``
-    feeds an input that needs no gradient.  Compares the summary and
-    every gradient; returns the planned pass's parameter grads."""
-    B, L, D = shape
-    rng = np.random.default_rng(seed)
-    layer = BiLSTM(D, hidden, rng)
+
+def _ragged_mask(rng, B, L, empty_rows=0):
     mask = np.zeros((B, L), dtype=bool)
     lengths = rng.integers(1, L + 1, size=B)
     lengths[:empty_rows] = 0
     for row, n in enumerate(lengths):
         mask[row, :n] = True
+    return mask
+
+
+def _bilstm_parity(shape, hidden, seed=7, empty_rows=0, x_grad=True):
+    """Run a BiLSTM fused and through ``reference_forward`` on larger,
+    ragged batches than the gradcheck case uses (varied lengths stress
+    the masked carry-forward).
+
+    The first ``empty_rows`` rows are fully masked; ``x_grad=False``
+    feeds an input that needs no gradient.  Compares the summary and
+    every gradient; returns the fused pass's parameter grads."""
+    B, L, D = shape
+    rng = np.random.default_rng(seed)
+    layer = BiLSTM(D, hidden, rng)
+    mask = _ragged_mask(rng, B, L, empty_rows)
 
     results = []
-    for planned in (False, True):
+    for forward in (layer.reference_forward, layer):
         for _, p in layer.named_parameters():
             p.zero_grad()  # grads accumulate across the two passes otherwise
         x = Tensor(
             np.random.default_rng(seed + 1).normal(size=(B, L, D)),
             requires_grad=x_grad,
         )
-        plan = compile_plan(layer).install() if planned else None
-        try:
-            summary = layer(x, mask)
-            w = np.random.default_rng(3).normal(size=summary.shape)
-            F.sum(summary * Tensor(w)).backward()
-        finally:
-            if plan is not None:
-                plan.uninstall()
+        summary = forward(x, mask)
+        w = np.random.default_rng(3).normal(size=summary.shape)
+        F.sum(summary * Tensor(w)).backward()
         grads = {n: np.array(p.grad, copy=True) for n, p in layer.named_parameters()}
         results.append((summary.data.copy(), x.grad, grads))
 
@@ -149,54 +152,57 @@ def test_bilstm_production_shape():
     _bilstm_parity((240, 18, 20), hidden=24)
 
 
-def test_bilstm_pool_reused_across_batch_sizes():
-    # Deduplicated review batches vary in size every step; the pool must
-    # serve each size as a view of one growing allocation, not a fresh
-    # buffer per distinct shape.
-    rng = np.random.default_rng(0)
-    layer = BiLSTM(5, 6, rng)
-    plan = compile_plan(layer).install()
-    try:
-        for batch in (8, 3, 12):
-            x = Tensor(rng.normal(size=(batch, 4, 5)), requires_grad=True)
-            F.sum(layer(x)).backward()
-        grown = plan.pool.stats()
-        for batch in (5, 12, 1):
-            x = Tensor(rng.normal(size=(batch, 4, 5)), requires_grad=True)
-            F.sum(layer(x)).backward()
-        final = plan.pool.stats()
-        # After the largest batch is seen, smaller/repeated batches are
-        # pure hits: no new arrays, no new bytes, no new misses.
-        assert final["misses"] == grown["misses"]
-        assert final["buffers"] == grown["buffers"]
-        assert final["bytes"] == grown["bytes"]
-        assert final["hits"] > grown["hits"]
-    finally:
-        plan.uninstall()
+#: The review encoder's shape at train-yelp's default config.
+B, L, D, H = 240, 18, 20, 24
 
 
-def test_bilstm_explain_lists_the_pooled_buffers():
-    # `plan --explain` prints PlanEntry.buffers as the executor's buffer
-    # schedule; after one forward + backward at the production shape the
-    # pool holds exactly the buffers named there, byte for byte, and
-    # backward writes the gate grads over `acts`: it is the only
-    # (L, 2, 4H, B) buffer.
-    B, L, D, H = 240, 18, 20, 24
+def _production_call(layer, x, mask):
+    F.sum(layer(x, mask)).backward()
+
+
+def test_bilstm_call_frees_its_scratch():
+    # Scratch belongs to one call: once backward has run and the output
+    # is dropped, nothing of the ~16 MB the first call on a fresh layer
+    # used stays allocated.
     rng = np.random.default_rng(0)
     layer = BiLSTM(D, H, rng)
-    plan = compile_plan(layer).install()
+    x = Tensor(rng.normal(size=(B, L, D)))
+    mask = _ragged_mask(rng, B, L)
+    tracemalloc.start()
     try:
-        x = Tensor(rng.normal(size=(B, L, D)), requires_grad=True)
-        F.sum(layer(x)).backward()
+        # The call replaces these with same-size sums.
+        for p in layer.parameters():
+            p.grad = np.zeros_like(p.data)
+        before = tracemalloc.get_traced_memory()[0]
+        _production_call(layer, x, mask)
+        after, peak = tracemalloc.get_traced_memory()
     finally:
-        plan.uninstall()
-    (entry,) = plan.entries
-    explained = {}
-    for buf in entry.buffers:
-        names, shape = buf.split()[:2]
-        for n in names.split(","):
-            explained[n] = eval(shape, {"__builtins__": {}}, {"L": L, "B": B})
-    assert {n[len(entry.path) + 1:] for n in plan.pool.names()} == set(explained)
-    assert plan.pool.nbytes == 8 * sum(int(np.prod(s)) for s in explained.values())
-    gate_sized = [n for n, s in explained.items() if s == (L, 2, 4 * H, B)]
+        tracemalloc.stop()
+    assert peak - before > 10_000_000  # the call really allocated its scratch
+    assert abs(after - before) <= 64 * 1024
+
+
+def test_bilstm_explain_scratch_bounds_traced_peak():
+    # `plan --explain` lists BiLSTM.describe's scratch; its bytes never
+    # exceed the traced peak of one forward + backward at the production
+    # shape, so the listing does not overstate the call.
+    rng = np.random.default_rng(0)
+    layer = BiLSTM(D, H, rng)
+    x = Tensor(rng.normal(size=(B, L, D)), requires_grad=True)
+    mask = _ragged_mask(rng, B, L)
+    described = layer.describe(B, L)
+    listed = sum(nbytes for _, _, nbytes, _ in described["scratch"])
+    names = [n for row in described["scratch"] for n in row[0].split(",")]
+    assert {"z", "c", "acts", "tanh_c", "dxs", "prod", "one_minus"} <= set(names)
+    # acts is the only (L, 2, 4H, B) array: backward writes the gate
+    # grads over it.
+    gate_sized = [row[0] for row in described["scratch"] if row[1] == (L, 2, 4 * H, B)]
     assert gate_sized == ["acts"]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _production_call(layer, x, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - before >= listed

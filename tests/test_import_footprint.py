@@ -22,7 +22,6 @@ SERVE_FORBIDDEN = (
     "repro.analysis.shapes",
     "repro.baselines",
     "repro.eval",
-    "repro.plan",
 )
 
 #: Packages whose ``__init__`` re-exports lazily.

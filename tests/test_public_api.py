@@ -16,7 +16,6 @@ PACKAGES = [
     "repro.metrics",
     "repro.eval",
     "repro.analysis",
-    "repro.plan",
     "repro.serve",
 ]
 
