@@ -32,7 +32,12 @@
 #      boot the HTTP API on an ephemeral port, issue real requests, and
 #      assert 200s with well-formed JSON plus a clean shutdown (see
 #      docs/serving.md); the server process must not have imported
-#      scipy, the trainer or the analysis passes, and prints its peak RSS.
+#      scipy, the trainer, the model (repro.nn), the data layer
+#      (repro.data) or the analysis passes, and prints its peak RSS.
+#      A training-footprint smoke mirrors it: a fresh interpreter fits
+#      one epoch of fast_config(pretrain_words=True) on yelpchi 0.15 and
+#      exports a store, must not have imported scipy or networkx, and
+#      prints its module count and peak RSS.
 #   7. serve-chaos smoke — boot a server with injected scoring faults:
 #      /healthz must flip to degraded (breaker open) while the ladder
 #      keeps answering with labelled degraded payloads, then recover;
@@ -220,10 +225,12 @@ conn.close()
 
 # Serving imports only the serving path (docs/architecture.md): neither
 # the import nor any request may load training or analysis code.
-training = ("scipy", "repro.core.trainer", "repro.text.embeddings") + tuple(
-    f"repro.analysis.{name}" for name in ("gradient_check", "graph", "lint", "shapes")
+training = (
+    "scipy", "repro.core.trainer", "repro.text.embeddings", "repro.nn", "repro.data"
+) + tuple(f"repro.analysis.{name}" for name in ("gradient_check", "graph", "lint", "shapes"))
+leaked = sorted(
+    m for m in sys.modules if any(m == bad or m.startswith(bad + ".") for bad in training)
 )
-leaked = sorted(m for m in sys.modules if m.split(".")[0] == "scipy" or m in training)
 assert not leaked, f"the server process imported training code: {leaked}"
 
 server.shutdown()
@@ -233,6 +240,32 @@ assert not thread.is_alive(), "server thread failed to stop"
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
 print(
     f"serve smoke OK: 3 endpoints on ephemeral port {port}, clean shutdown, "
+    f"{len(sys.modules)} modules, peak RSS {peak_mb:.1f} MB"
+)
+PY
+
+echo "== training footprint smoke =="
+python - "$SMOKE_DIR" <<'PY'
+import resource
+import sys
+from pathlib import Path
+
+sys.path.insert(0, "src")
+from repro.core import RRRETrainer, fast_config
+from repro.data import load_dataset, train_test_split
+from repro.serve import export_store
+
+# Training loads scipy only for PPMI-SVD and the baselines
+# (docs/architecture.md): skip-gram pretraining is numpy.
+dataset = load_dataset("yelpchi", scale=0.15)
+train, _ = train_test_split(dataset)
+trainer = RRRETrainer(fast_config(epochs=1, pretrain_words=True)).fit(dataset, train)
+export_store(trainer, out_dir=Path(sys.argv[1]) / "train-footprint-store")
+leaked = sorted(m for m in sys.modules if m.split(".")[0] in ("scipy", "networkx"))
+assert not leaked, f"the training process imported {leaked[:5]}"
+peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+print(
+    f"training footprint OK: 1-epoch fit with skip-gram + export, "
     f"{len(sys.modules)} modules, peak RSS {peak_mb:.1f} MB"
 )
 PY

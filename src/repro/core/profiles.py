@@ -15,8 +15,9 @@ item, so every (u, i) score decomposes exactly into per-entity pieces:
 A :class:`ProfileTable` holds those terms for every user and item,
 built in one eval-mode encode pass.  Offline inference
 (``RRRETrainer.predict_pairs``) and :func:`repro.serve.export_store`
-read it, and :func:`factored_scores` is the arithmetic both it and
-:class:`repro.serve.EmbeddingStore` score pairs with.
+read it, and :func:`repro.core.scoring.factored_scores` is the
+arithmetic both it and :class:`repro.serve.EmbeddingStore` score pairs
+with.
 """
 
 from __future__ import annotations
@@ -29,27 +30,10 @@ import numpy as np
 from repro.obs.trace import maybe_span
 
 from .model import _encode_slots
+from .scoring import factored_scores
 
 #: Users (or items) encoded per batch of a table build.
 BUILD_BATCH = 256
-
-
-def factored_scores(arrays, rel_bias: float, rating_range, user_ids, item_ids):
-    """``(ratings, reliabilities)`` of aligned (u, i) pairs, ratings clipped.
-
-    ``arrays`` maps the store names (``user_factors``, ``user_bias``,
-    ``user_rel`` and the item counterparts) to the per-entity terms.
-    """
-    user_ids = np.asarray(user_ids, dtype=np.int64)
-    item_ids = np.asarray(item_ids, dtype=np.int64)
-    ratings = np.sum(
-        arrays["user_factors"][user_ids] * arrays["item_factors"][item_ids], axis=1
-    )
-    ratings += arrays["user_bias"][user_ids]
-    ratings += arrays["item_bias"][item_ids]
-    np.clip(ratings, *rating_range, out=ratings)
-    logits = arrays["user_rel"][user_ids] + arrays["item_rel"][item_ids] + rel_bias
-    return ratings, 1.0 / (1.0 + np.exp(-logits))
 
 
 def forward_scores(model, slots, table, rating_range, user_ids, item_ids):

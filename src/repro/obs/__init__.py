@@ -36,39 +36,44 @@ registry, and no ambient tracer, the hook points reduce to a single
 ``None`` check.  See ``docs/observability.md`` for a guided tour.
 """
 
-from .health import (
-    AttentionEntropyMonitor,
-    CalibrationDriftMonitor,
-    DeadUnitMonitor,
-    GradientDriftMonitor,
-    HealthAlert,
-    HealthSuite,
-    attention_entropy,
-)
-from .hooks import (
-    LayerRecord,
-    ModuleProfiler,
-    NumericsError,
-)
-from .metrics import MetricsRegistry, use_metrics
-from .report import (
-    SCHEMA_VERSION,
-    RunReport,
-    validate_bench_artifact,
-    timer_stats,
-    validate_report,
-    write_bench_artifact,
-)
-from .run import RunObserver
-from .trace import (
-    Span,
-    Tracer,
-    current_tracer,
-    emit_event,
-    maybe_span,
-    read_events,
-    traced,
-    use_tracer,
+from .._lazy import lazy_exports
+
+# Lazy (PEP 562): the server reads metrics and traces, and must not load
+# ``hooks``/``run``, which import ``repro.nn``.
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        ".health": (
+            "AttentionEntropyMonitor",
+            "CalibrationDriftMonitor",
+            "DeadUnitMonitor",
+            "GradientDriftMonitor",
+            "HealthAlert",
+            "HealthSuite",
+            "attention_entropy",
+        ),
+        ".hooks": ("LayerRecord", "ModuleProfiler", "NumericsError"),
+        ".metrics": ("MetricsRegistry", "use_metrics"),
+        ".report": (
+            "SCHEMA_VERSION",
+            "RunReport",
+            "timer_stats",
+            "validate_bench_artifact",
+            "validate_report",
+            "write_bench_artifact",
+        ),
+        ".run": ("RunObserver",),
+        ".trace": (
+            "Span",
+            "Tracer",
+            "current_tracer",
+            "emit_event",
+            "maybe_span",
+            "read_events",
+            "traced",
+            "use_tracer",
+        ),
+    },
 )
 
 __all__ = [

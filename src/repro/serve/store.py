@@ -9,7 +9,7 @@ explanation payloads, review metadata in CSR layout by item, and
 popularity statistics for the unknown-user fallback — one ``.npy`` file
 per array (memory-mappable) plus a ``meta.json`` sidecar.  Pair scores
 use the same arithmetic as ``RRRETrainer.predict_pairs``
-(:func:`repro.core.profiles.factored_scores`); ``export_store`` verifies
+(:func:`repro.core.scoring.factored_scores`); ``export_store`` verifies
 them against the pairwise model forward before writing anything.
 """
 
@@ -24,7 +24,7 @@ from typing import Callable, Dict, Optional, Tuple
 import numpy as np
 
 from repro import __version__
-from repro.core.profiles import factored_scores, forward_scores
+from repro.core.scoring import factored_scores
 from repro.resilience.checkpoint import sha256_file
 
 #: Store layout version; bump on any array/meta schema change.
@@ -536,6 +536,9 @@ def export_store(
     store = EmbeddingStore(arrays=arrays, meta=meta)
 
     if verify_pairs:
+        # Training code: a process that exports has it loaded already.
+        from repro.core.profiles import forward_scores
+
         rng = np.random.default_rng(0)
         users = rng.integers(0, dataset.num_users, size=verify_pairs)
         items = rng.integers(0, dataset.num_items, size=verify_pairs)

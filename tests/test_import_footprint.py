@@ -1,8 +1,9 @@
 """Each process imports only the code it runs.
 
 Package ``__init__`` files resolve their public names on first access
-(``repro._lazy``), so serving never loads the trainer, scipy or the
-analysis passes.  Every check runs in a fresh interpreter: ``sys.modules``
+(``repro._lazy``), so serving never loads the trainer, the model, the
+data layer, scipy or the analysis passes, and training never loads
+scipy.  Every check runs in a fresh interpreter: ``sys.modules``
 of the test process already holds everything.
 """
 
@@ -22,6 +23,8 @@ SERVE_FORBIDDEN = (
     "repro.analysis.shapes",
     "repro.baselines",
     "repro.eval",
+    "repro.nn",
+    "repro.data",
 )
 
 #: Packages whose ``__init__`` re-exports lazily.
@@ -32,6 +35,7 @@ LAZY_PACKAGES = (
     "repro.analysis",
     "repro.analysis.concurrency",
     "repro.eval",
+    "repro.obs",
 )
 
 
@@ -47,6 +51,23 @@ def test_serve_loads_no_training_code():
         if any(name == bad or name.startswith(bad + ".") for bad in SERVE_FORBIDDEN)
     )
     assert leaked == []
+
+
+def test_training_loads_no_scipy():
+    # scipy backs only PPMI-SVD and the baselines; skip-gram is numpy.
+    loaded = loaded_after(
+        """
+from repro.core import RRRETrainer
+from repro.data import load_dataset, train_test_split
+from repro.eval import bench_rrre_config
+from repro.serve import export_store
+dataset = load_dataset("yelpchi", scale=0.15)
+train, _ = train_test_split(dataset)
+trainer = RRRETrainer(bench_rrre_config(epochs=1, pretrain_words=True)).fit(dataset, train)
+export_store(trainer)
+"""
+    )
+    assert sorted(name for name in loaded if name.split(".")[0] in ("scipy", "networkx")) == []
 
 
 def test_bare_package_import_loads_no_subpackage():

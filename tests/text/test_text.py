@@ -16,6 +16,7 @@ from repro.text import (
     train_ppmi_svd,
     train_skipgram,
 )
+from repro.text.embeddings import _inverse_cdf, _scatter_sub
 
 
 class TestTokenize:
@@ -142,6 +143,40 @@ class TestEmbeddings:
         a = train_skipgram(docs, vocab, dim=8, epochs=1, seed=3)
         b = train_skipgram(docs, vocab, dim=8, epochs=1, seed=3)
         np.testing.assert_allclose(a, b)
+
+    def test_scatter_sub_adds_terms_in_order(self):
+        # Bitwise equal to accumulating each word's terms one by one in
+        # ``ids`` order, then subtracting: the order the sums are taken
+        # in is part of what makes a fit reproducible.
+        rng = np.random.default_rng(0)
+        ids = rng.integers(0, 7, size=(40, 3))
+        rows, coefs = rng.standard_normal((40, 5)), rng.standard_normal((40, 3))
+        matrix = rng.standard_normal((7, 5))
+        want = np.zeros_like(matrix)
+        counts = np.bincount(ids.ravel())
+        for b in range(40):
+            for k in range(3):
+                word = ids[b, k]
+                want[word] += min(0.3, 1.0 / counts[word]) * coefs[b, k] * rows[b]
+        want = matrix - want
+        _scatter_sub(matrix, ids, rows, 0.3, coefs)
+        assert np.array_equal(matrix, want)
+
+    def test_negative_sampler_matches_rng_choice(self):
+        probs = np.random.default_rng(1).random(50) ** 3
+        probs[[3, 4, 5, 49]] = 0.0  # repeated CDF values, zero last weight
+        probs /= probs.sum()
+        cdf = probs.cumsum()
+        cdf /= cdf[-1]
+        want = np.random.default_rng(2).choice(50, size=(4000, 5), p=probs)
+        got = _inverse_cdf(cdf, np.random.default_rng(2).random((4000, 5)))
+        assert np.array_equal(got, want)
+        # Keys on and next to every CDF entry and bucket edge.
+        edges = np.arange(4096) / 4096
+        keys = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 1), edges,
+                               np.nextafter(edges, 1), np.nextafter(edges[1:], 0)])
+        keys = keys[keys < 1.0]
+        assert np.array_equal(_inverse_cdf(cdf, keys), cdf.searchsorted(keys, side="right"))
 
     def test_skipgram_empty_corpus(self):
         vocab = Vocabulary([["a"]])
