@@ -33,7 +33,9 @@
 #      assert 200s with well-formed JSON plus a clean shutdown (see
 #      docs/serving.md); the server process must not have imported
 #      scipy, the trainer, the model (repro.nn), the data layer
-#      (repro.data) or the analysis passes, and prints its peak RSS.
+#      (repro.data) or the analysis passes, and prints its peak RSS
+#      next to the store's size on disk; no table of the exported store
+#      may be fixed-width unicode (strings are UTF-8 columns).
 #      A training-footprint smoke mirrors it: a fresh interpreter fits
 #      one epoch of fast_config(pretrain_words=True) on yelpchi 0.15 and
 #      exports a store, must not have imported scipy or networkx, and
@@ -238,9 +240,20 @@ server.close()
 thread.join(timeout=5.0)
 assert not thread.is_alive(), "server thread failed to stop"
 peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+# Strings are stored as UTF-8 columns, never as fixed-width unicode
+# (docs/serving.md, "The embedding store").
+import numpy as np
+
+store_dir = Path(sys.argv[1]) / "store"
+tables = sorted(store_dir.glob("*.npy"))
+unicode_tables = [p.name for p in tables if np.load(p, mmap_mode="r").dtype.kind == "U"]
+assert not unicode_tables, f"fixed-width unicode tables in the store: {unicode_tables}"
+store_mb = sum(p.stat().st_size for p in store_dir.iterdir()) / 2**20
 print(
     f"serve smoke OK: 3 endpoints on ephemeral port {port}, clean shutdown, "
-    f"{len(sys.modules)} modules, peak RSS {peak_mb:.1f} MB"
+    f"{len(sys.modules)} modules, store {store_mb:.2f} MB on disk "
+    f"({len(tables)} tables), peak RSS {peak_mb:.1f} MB"
 )
 PY
 

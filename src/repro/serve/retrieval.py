@@ -134,7 +134,7 @@ class Retriever:
             item = int(item)
             rec = {
                 "item_id": item,
-                "item_name": str(self.store.item_names[item]),
+                "item_name": self.store.item_name(item),
                 "predicted_rating": float(ratings[item]),
                 "predicted_reliability": float(reliabilities[item]),
             }
@@ -184,12 +184,13 @@ class Retriever:
             if reliability < self.min_reliability:
                 continue
             idx = int(review_idx[pos])
+            user = int(store.review_users[idx])
             payload.append(
                 {
                     "review_index": idx,
-                    "user_id": int(store.review_users[idx]),
-                    "user_name": str(store.user_names[store.review_users[idx]]),
-                    "text": str(store.review_texts[idx]),
+                    "user_id": user,
+                    "user_name": store.user_name(user),
+                    "text": store.review_text(idx),
                     "predicted_rating": float(store.review_pred_rating[idx]),
                     "predicted_reliability": reliability,
                     "actual_rating": float(store.review_ratings[idx]),
@@ -216,7 +217,7 @@ class Retriever:
             item = int(item)
             rec = {
                 "item_id": item,
-                "item_name": str(self.store.item_names[item]),
+                "item_name": self.store.item_name(item),
                 "predicted_rating": float(self.store.item_mean_rating[item]),
                 "predicted_reliability": float(
                     self.store.item_mean_reliability[item]

@@ -495,7 +495,7 @@ class RecommendationService:
         self._finish("explain", "ok", start)
         return {
             "item_id": item_id,
-            "item_name": str(store.item_names[item_id]),
+            "item_name": store.item_name(item_id),
             "explanations": explanations,
         }
 

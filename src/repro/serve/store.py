@@ -5,9 +5,10 @@ the store persists the per-entity head terms of the trainer's
 :class:`repro.core.profiles.ProfileTable` (``p_u``, ``A_u``, ``a_u`` per
 user, ``q_i``, ``B_i``, ``c_i`` per item — an *exact* factorization of
 both heads), the per-review predicted (rating, reliability) pairs behind
-explanation payloads, review metadata in CSR layout by item, and
-popularity statistics for the unknown-user fallback — one ``.npy`` file
-per array (memory-mappable) plus a ``meta.json`` sidecar.  Pair scores
+explanation payloads, review metadata in CSR layout by item,
+popularity statistics for the unknown-user fallback, and the review
+texts and entity names as UTF-8 string columns — one ``.npy`` file per
+array (memory-mappable) plus a ``meta.json`` sidecar.  Pair scores
 use the same arithmetic as ``RRRETrainer.predict_pairs``
 (:func:`repro.core.scoring.factored_scores`); ``export_store`` verifies
 them against the pairwise model forward before writing anything.
@@ -27,8 +28,10 @@ from repro import __version__
 from repro.core.scoring import factored_scores
 from repro.resilience.checkpoint import sha256_file
 
-#: Store layout version; bump on any array/meta schema change.
-STORE_VERSION = 1
+#: Store layout version; bump on any array/meta schema change.  Version
+#: 2 stores strings as UTF-8 columns (version 1 stored fixed-width
+#: unicode arrays and must be re-exported).
+STORE_VERSION = 2
 
 #: Integrity manifest filename inside a store directory.
 MANIFEST_NAME = "manifest.json"
@@ -65,10 +68,43 @@ _ARRAYS = (
     "item_popularity",      # (I,)   training review count per item
     "item_mean_rating",     # (I,)   mean observed rating (fallback payload)
     "item_mean_reliability",  # (I,) mean predicted reliability of the item's reviews
-    "review_texts",      # (R,)    raw review text (fixed-width unicode)
-    "user_names",        # (U,)
-    "item_names",        # (I,)
+    "review_texts_utf8",     # (*,)   raw review texts, UTF-8, back to back
+    "review_texts_offsets",  # (R+1,) text j is review_texts_utf8[offsets[j]:offsets[j+1]]
+    "user_names_utf8",       # (*,)
+    "user_names_offsets",    # (U+1,)
+    "item_names_utf8",       # (*,)
+    "item_names_offsets",    # (I+1,)
 )
+
+#: String columns: each is a ``<name>_utf8`` uint8 blob plus int64
+#: ``<name>_offsets`` (see :func:`string_column`), mapped to the row
+#: count (meta key and store property) that is its length.
+_STRING_COLUMNS = {
+    "review_texts": "num_reviews",
+    "user_names": "num_users",
+    "item_names": "num_items",
+}
+
+
+def string_column(name: str, strings) -> Dict[str, np.ndarray]:
+    """Encode ``strings`` as the two arrays of string column ``name``.
+
+    ``<name>_utf8`` holds every string's UTF-8 bytes back to back and
+    ``<name>_offsets`` (length N+1, from 0) where each one starts and
+    ends.  Review text mostly ASCII takes about an eighth of the bytes of
+    a fixed-width unicode array, which spends 4 bytes per character of
+    the longest text.
+    """
+    encoded = [text.encode("utf-8") for text in strings]
+    offsets = np.zeros(len(encoded) + 1, dtype=np.int64)
+    np.cumsum(
+        np.fromiter(map(len, encoded), dtype=np.int64, count=len(encoded)),
+        out=offsets[1:],
+    )
+    return {
+        f"{name}_utf8": np.frombuffer(b"".join(encoded), dtype=np.uint8),
+        f"{name}_offsets": offsets,
+    }
 
 
 @dataclass
@@ -86,6 +122,9 @@ class EmbeddingStore:
     path: Optional[Path] = None
     _rel_bias: float = field(init=False)
     _rating_range: Tuple[float, float] = field(init=False)
+    _strings: Dict[str, Tuple[memoryview, np.ndarray]] = field(
+        init=False, repr=False
+    )
 
     def __post_init__(self) -> None:
         missing = [name for name in _ARRAYS if name not in self.arrays]
@@ -94,6 +133,15 @@ class EmbeddingStore:
         self._rel_bias = float(self.meta["rel_bias"])
         low, high = self.meta["rating_range"]
         self._rating_range = (float(low), float(high))
+        # A memoryview slices ~2x faster than a memmap and decodes
+        # without a copy; neither pages in more than the slice.
+        self._strings = {
+            name: (
+                memoryview(np.asarray(self.arrays[f"{name}_utf8"])),
+                self.arrays[f"{name}_offsets"],
+            )
+            for name in _STRING_COLUMNS
+        }
 
     # -- convenience accessors ----------------------------------------
     def __getattr__(self, name: str) -> np.ndarray:
@@ -127,6 +175,22 @@ class EmbeddingStore:
         """Dataset review indices of one item, time-sorted (CSR slice)."""
         indptr = self.arrays["item_review_indptr"]
         return self.arrays["item_review_indices"][indptr[item_id] : indptr[item_id + 1]]
+
+    def review_text(self, review: int) -> str:
+        """Raw text of one review (dataset order)."""
+        return self._string("review_texts", review)
+
+    def user_name(self, user_id: int) -> str:
+        """Display name of one user."""
+        return self._string("user_names", user_id)
+
+    def item_name(self, item_id: int) -> str:
+        """Display name of one item."""
+        return self._string("item_names", item_id)
+
+    def _string(self, column: str, row: int) -> str:
+        blob, offsets = self._strings[column]
+        return str(blob[offsets[row] : offsets[row + 1]], "utf-8")
 
     # -- scoring -------------------------------------------------------
     def score_users(self, user_ids: np.ndarray):
@@ -229,14 +293,20 @@ class EmbeddingStore:
         meta_path = root / "meta.json"
         if not meta_path.exists():
             raise FileNotFoundError(f"{root} is not an embedding store (no meta.json)")
+        # The version is checked before any hash: an old layout is
+        # refused by name, not as a manifest that misses today's files.
+        try:
+            meta = json.loads(meta_path.read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise StoreCorrupt(f"{meta_path} is not valid JSON: {exc}") from exc
+        if meta.get("store_version") != STORE_VERSION:
+            raise StoreCorrupt(
+                f"{root}: store version {meta.get('store_version')!r} is not "
+                f"{STORE_VERSION}; re-export it with "
+                "`python -m repro export-embeddings`"
+            )
         if verify:
             verify_store_manifest(root)
-        meta = json.loads(meta_path.read_text(encoding="utf-8"))
-        if meta.get("store_version") != STORE_VERSION:
-            raise ValueError(
-                f"store version {meta.get('store_version')!r} != {STORE_VERSION}; "
-                "re-export with `python -m repro export-embeddings`"
-            )
         mode = "r" if mmap else None
         arrays = {
             name: np.load(root / f"{name}.npy", mmap_mode=mode) for name in _ARRAYS
@@ -389,11 +459,25 @@ def verify_store_manifest(store_dir) -> Dict:
     return manifest
 
 
+def _offsets_fault(offsets: np.ndarray, blob_len: int, rows: int) -> Optional[str]:
+    """Why a string column's offsets cannot index its blob, else ``None``."""
+    if offsets.shape != (rows + 1,):
+        return f"length {offsets.shape} != ({rows + 1},)"
+    if offsets[0] != 0:
+        return f"start at {offsets[0]}, not 0"
+    if np.any(offsets[1:] < offsets[:-1]):
+        return "decrease"
+    if offsets[-1] != blob_len:
+        return f"end at {offsets[-1]}, not at the blob's length {blob_len}"
+    return None
+
+
 def validate_store(store: EmbeddingStore, manifest: Optional[Dict] = None) -> None:
     """Shape + factorization parity validation of a loaded store.
 
     Checks that the table shapes are mutually consistent (factor dims
-    align, CSR index bounds hold, counts match ``meta.json``) and — when
+    align, CSR index bounds hold, counts match ``meta.json``, string
+    offsets run from 0 to their blob's end without decreasing) and — when
     a manifest with a score sample is available — that recomputed pair
     scores match the ones recorded at export time bit-for-bit tolerance
     1e-9.  Raises :class:`StoreCorrupt` on any violation; the hot-reload
@@ -431,6 +515,13 @@ def validate_store(store: EmbeddingStore, manifest: Optional[Dict] = None) -> No
             "item_review_indices out of range",
         ),
     ]
+    for name, rows in _STRING_COLUMNS.items():
+        fault = _offsets_fault(
+            np.asarray(arrays[f"{name}_offsets"]),
+            arrays[f"{name}_utf8"].shape[0],
+            getattr(store, rows),
+        )
+        checks.append((fault is None, f"{name}_offsets {fault}"))
     for ok, why in checks:
         if not ok:
             raise StoreCorrupt(f"store failed shape validation: {why}")
@@ -516,9 +607,9 @@ def export_store(
         "item_popularity": item_counts,
         "item_mean_rating": item_mean_rating,
         "item_mean_reliability": item_mean_reliability,
-        "review_texts": np.array([r.text for r in dataset.reviews]),
-        "user_names": np.array(dataset.user_names),
-        "item_names": np.array(dataset.item_names),
+        **string_column("review_texts", (r.text for r in dataset.reviews)),
+        **string_column("user_names", dataset.user_names),
+        **string_column("item_names", dataset.item_names),
     }
     meta = {
         "store_version": STORE_VERSION,

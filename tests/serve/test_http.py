@@ -78,7 +78,7 @@ class TestHTTPAPI:
         status, payload = get_json(live_server, "/explain?item=0&k=2")
         assert status == 200
         assert payload["item_id"] == 0
-        assert payload["item_name"] == str(store.item_names[0])
+        assert payload["item_name"] == store.item_name(0)
 
     def test_missing_required_param_is_400(self, live_server):
         status, payload = get_json(live_server, "/recommend")

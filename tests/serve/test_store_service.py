@@ -17,6 +17,7 @@ from repro.serve import (
     ServeConfig,
     export_store,
 )
+from repro.serve.store import string_column
 
 
 class FakeClock:
@@ -52,12 +53,13 @@ def reference_explain(store, item_id, k, explain_pool, min_reliability):
         if reliability < min_reliability:
             continue
         idx = int(review_idx[pos])
+        user = int(store.review_users[idx])
         payload.append(
             {
                 "review_index": idx,
-                "user_id": int(store.review_users[idx]),
-                "user_name": str(store.user_names[store.review_users[idx]]),
-                "text": str(store.review_texts[idx]),
+                "user_id": user,
+                "user_name": store.user_name(user),
+                "text": store.review_text(idx),
                 "predicted_rating": float(store.review_pred_rating[idx]),
                 "predicted_reliability": reliability,
                 "actual_rating": float(store.review_ratings[idx]),
@@ -154,7 +156,9 @@ class _TiedStore:
         self.reliabilities = reliabilities
         self.seen = seen
         self.item_popularity = np.zeros(len(ratings), dtype=np.int64)
-        self.item_names = np.array([f"item{i}" for i in range(len(ratings))])
+
+    def item_name(self, item_id):
+        return f"item{item_id}"
 
     def score_users(self, user_ids):
         rows = len(user_ids)
@@ -353,8 +357,11 @@ class TestSharedCitations:
         # Same shapes and scores, different review text: only a stale
         # memo could still cite the old wording after the swap.
         arrays = dict(store.arrays)
-        arrays["review_texts"] = np.array(
-            ["v2 " + str(text) for text in store.review_texts]
+        arrays.update(
+            string_column(
+                "review_texts",
+                ["v2 " + store.review_text(j) for j in range(store.num_reviews)],
+            )
         )
         with RecommendationService(
             root, ServeConfig(min_reliability=0.0)
