@@ -20,14 +20,16 @@
 #      resume from the surviving checkpoints (exercising the CLI
 #      --checkpoint-dir/--resume path too), and assert the resumed
 #      model is bitwise identical to an uninterrupted reference run.
-#   5. static analysis — repo discipline lint over src/repro plus a
-#      symbolic shape check of the default training config; any
-#      violation fails the build (see docs/analysis.md).  The
-#      concurrency pass then lints lock discipline (LOCK001-LOCK004)
-#      and must report zero violations; a race-checked run of the
-#      serve resilience tests (REPRO_RACE_CHECK=1) proves the
-#      threaded serving layer clean under the Eraser lockset
-#      detector.
+#   5. static analysis — repo discipline lint over src/repro, then one
+#      `analyze` run of every other pass: a symbolic shape check of the
+#      default training config, autograd-tape validation, the per-layer
+#      gradchecks, and the concurrency pass (LOCK001-LOCK004 lint plus
+#      the --dynamic exercise of the serving classes under traced locks,
+#      which must find zero races and catch both self-checks: a racy
+#      class and an ABBA deadlock).  Any violation fails the build (see
+#      docs/analysis.md).  A race-checked run of the serve resilience
+#      tests (REPRO_RACE_CHECK=1) then proves the threaded serving
+#      layer clean under the Eraser lockset detector.
 #   6. serve smoke — train + export an embedding store through the CLI,
 #      boot the HTTP API on an ephemeral port, issue real requests, and
 #      assert 200s with well-formed JSON plus a clean shutdown (see
@@ -174,18 +176,32 @@ grep -q "resumed" "$SMOKE_DIR/cli-resume.log" \
 
 echo "== static analysis =="
 python -m repro analyze --lint src/repro
-python -m repro analyze --shapes --report-json "$SMOKE_DIR/analysis.json"
+python -m repro analyze --shapes --graph --gradcheck --concurrency --dynamic \
+    --report-json "$SMOKE_DIR/analysis.json"
 python - "$SMOKE_DIR" <<'PY'
 import json, sys
 from pathlib import Path
 
 payload = json.loads((Path(sys.argv[1]) / "analysis.json").read_text())
 assert payload["ok"] and not payload["failed_passes"], payload
-shapes = payload["passes"]["shapes"]["shapes"]
+passes = payload["passes"]
+shapes = passes["shapes"]["shapes"]
 assert shapes["rating"] == "(B) float64", shapes
-print("analysis OK:", len(shapes), "named activations validated")
+assert passes["graph"]["graph"]["ok"], passes["graph"]["graph"]
+failed = [name for name, case in passes["gradcheck"].items() if not case["ok"]]
+assert not failed, f"layer gradchecks failed: {failed}"
+concurrency = passes["concurrency"]
+assert not concurrency["violations"], concurrency["violations"]
+dynamic = concurrency["dynamic"]
+assert dynamic["ok"] and dynamic["races"] == [], dynamic["races"]
+assert all(dynamic["self_check"].values()), dynamic["self_check"]
+print(
+    f"analysis OK: {len(shapes)} named activations, "
+    f"{len(passes['gradcheck'])} layer gradchecks, "
+    f"{concurrency['files_checked']} files lock-linted, 0 races, "
+    "both concurrency self-checks caught"
+)
 PY
-python -m repro analyze --concurrency
 
 echo "== race-checked serve tests =="
 REPRO_RACE_CHECK=1 python -m pytest tests/serve/test_resilience.py -q

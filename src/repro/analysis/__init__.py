@@ -18,13 +18,13 @@ compute is spent (see ``docs/analysis.md``):
   enforcing RNG/clock/dtype/mutation discipline across the repo;
 * :mod:`~repro.analysis.concurrency` — lock-discipline rules
   (``LOCK001``–``LOCK004``), an Eraser-style dynamic race detector over
-  :func:`make_lock` traced locks, and a wait-for-graph deadlock
-  watchdog for the threaded serving/observability runtime
+  :func:`make_lock` traced locks, and wait-for-graph deadlock detection
+  for the threaded serving/observability runtime
   (:func:`analyze_concurrency`).
 
 Everything is surfaced on the command line via ``python -m repro
-analyze`` and as a training pre-flight via
-``RRRETrainer.fit(validate="strict")`` (:func:`preflight`).
+analyze``; :func:`preflight` packages the shape and graph passes as a
+check to run on a model before training it.
 """
 
 from __future__ import annotations
@@ -55,18 +55,15 @@ __getattr__, __dir__ = lazy_exports(
         ".lint": ("RULES", "LintReport", "LintViolation", "lint_paths", "lint_source"),
         ".concurrency": (
             "DeadlockError",
-            "DeadlockWatchdog",
             "RaceDetector",
             "RaceReport",
             "TracedLock",
-            "TracedRLock",
             "analyze_concurrency",
             "disable_lock_tracing",
             "enable_lock_tracing",
             "instrument_class",
             "lock_tracing",
             "make_lock",
-            "make_rlock",
             "race_detection",
             "tracing_enabled",
         ),
@@ -112,18 +109,15 @@ __all__ = [
     "lint_source",
     "lint_paths",
     "DeadlockError",
-    "DeadlockWatchdog",
     "RaceDetector",
     "RaceReport",
     "TracedLock",
-    "TracedRLock",
     "analyze_concurrency",
     "disable_lock_tracing",
     "enable_lock_tracing",
     "instrument_class",
     "lock_tracing",
     "make_lock",
-    "make_rlock",
     "race_detection",
     "tracing_enabled",
     "PreflightError",

@@ -1,14 +1,15 @@
 """Concurrency correctness suite: static lock lint, races, deadlocks.
 
-Three cooperating layers over the threaded runtime (:mod:`repro.serve`,
+Three cooperating parts over the threaded runtime (:mod:`repro.serve`,
 :mod:`repro.obs`):
 
 * :mod:`.lint_locks` — static lock-discipline rules ``LOCK001``–``LOCK004``
   (wired into the main :mod:`repro.analysis.lint` pass);
 * :mod:`.locks` + :mod:`.races` — :func:`make_lock` traced-lock factory,
-  per-thread locksets, and the Eraser-style dynamic race detector;
-* :mod:`.watchdog` — background wait-for-graph sweeps, held-too-long
-  alarms, and ``repro_lock_*`` metric export.
+  per-thread locksets, wait-for-graph deadlock detection, and the
+  Eraser-style dynamic race detector;
+* :mod:`.harness` — the ``--dynamic`` exercise of the serving classes,
+  with its two self-checks (a racy class and an ABBA deadlock).
 
 CLI surface: ``python -m repro analyze --concurrency [--dynamic]``.
 """
@@ -26,20 +27,14 @@ __getattr__, __dir__ = lazy_exports(
         ),
         ".locks": (
             "DeadlockError",
-            "LockStats",
             "TracedLock",
-            "TracedRLock",
             "current_lock_names",
             "current_lockset",
             "disable_lock_tracing",
             "enable_lock_tracing",
             "find_deadlock",
-            "lock_stats_snapshot",
             "lock_tracing",
             "make_lock",
-            "make_rlock",
-            "publish_lock_metrics",
-            "set_lock_metrics",
             "tracing_enabled",
         ),
         ".races": (
@@ -52,22 +47,17 @@ __getattr__, __dir__ = lazy_exports(
             "uninstall_detector",
             "uninstrument_class",
         ),
-        ".watchdog": ("DeadlockWatchdog", "LockAlert"),
         ".harness": ("analyze_concurrency", "run_dynamic_exercise"),
     },
 )
 
 __all__ = [
     "DeadlockError",
-    "DeadlockWatchdog",
     "LOCK_RULES",
-    "LockAlert",
     "LockModel",
-    "LockStats",
     "RaceDetector",
     "RaceReport",
     "TracedLock",
-    "TracedRLock",
     "active_detector",
     "analyze_concurrency",
     "build_lock_models",
@@ -79,14 +69,10 @@ __all__ = [
     "find_deadlock",
     "install_detector",
     "instrument_class",
-    "lock_stats_snapshot",
     "lock_tracing",
     "make_lock",
-    "make_rlock",
-    "publish_lock_metrics",
     "race_detection",
     "run_dynamic_exercise",
-    "set_lock_metrics",
     "tracing_enabled",
     "uninstall_detector",
     "uninstrument_class",

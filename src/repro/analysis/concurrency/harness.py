@@ -28,7 +28,6 @@ from .locks import (
     DeadlockError,
     TracedLock,
     clear_tracing_state,
-    lock_stats_snapshot,
     lock_tracing,
 )
 from .races import (
@@ -212,7 +211,6 @@ def run_dynamic_exercise(
             for cls, _exclude in classes:
                 uninstrument_class(cls)
             uninstall_detector()
-        stats = lock_stats_snapshot()
 
     return {
         "ok": not races and racy_detected and deadlock_detected,
@@ -221,11 +219,7 @@ def run_dynamic_exercise(
             "racy_class_detected": racy_detected,
             "abba_deadlock_detected": deadlock_detected,
         },
-        "exercise": {
-            "threads": threads,
-            "iterations": iterations,
-            "locks": stats,
-        },
+        "exercise": {"threads": threads, "iterations": iterations},
     }
 
 

@@ -3,7 +3,7 @@
 The pass builds a **per-class lock model** from the AST: which instance
 attributes hold locks (``self._lock = threading.Lock()`` / ``RLock`` /
 ``Condition``, the :func:`~repro.analysis.concurrency.locks.make_lock`
-factories, or an ``__init__`` parameter named like a lock), and which
+factory, or an ``__init__`` parameter named like a lock), and which
 instance attributes each method reads or writes inside vs. outside
 ``with self._lock:`` blocks.  From the model it derives:
 
@@ -53,8 +53,8 @@ LOCK_RULES: Dict[str, str] = {
 }
 
 #: Constructors whose result is a lock when bound to ``self.<attr>``.
-_LOCK_CONSTRUCTORS = {"Lock", "RLock", "Condition", "TracedLock", "TracedRLock"}
-_LOCK_FACTORIES = {"make_lock", "make_rlock"}
+_LOCK_CONSTRUCTORS = {"Lock", "RLock", "Condition", "TracedLock"}
+_LOCK_FACTORIES = {"make_lock"}
 
 #: Container methods that mutate their receiver: a call
 #: ``self.x.append(...)`` counts as a *write* of ``x``.

@@ -1,31 +1,26 @@
 """Traced lock wrappers: the runtime substrate of the concurrency suite.
 
 Every lock in :mod:`repro.serve` and :mod:`repro.obs` is constructed
-through :func:`make_lock` / :func:`make_rlock`.  The factory makes a
-**construction-time** choice:
+through :func:`make_lock`.  The factory makes a **construction-time**
+choice:
 
-* tracing disabled (the default) — a plain :class:`threading.Lock` /
-  :class:`threading.RLock` is returned.  The serving hot path pays one
-  extra function call at *construction*, never per acquire, so the
-  instrumentation is zero-overhead when off.
+* tracing disabled (the default) — a plain :class:`threading.Lock` is
+  returned.  The serving hot path pays one extra function call at
+  *construction*, never per acquire, so the instrumentation is
+  zero-overhead when off.
 * tracing enabled (:func:`enable_lock_tracing`, the ``--dynamic``
   analyze pass, or the ``REPRO_RACE_CHECK=1`` pytest fixture) — a
-  :class:`TracedLock` / :class:`TracedRLock` is returned.
+  :class:`TracedLock` is returned.
 
 A traced lock maintains, on top of the real lock:
 
 * **per-thread locksets** (:func:`current_lockset`) — the Eraser-style
   race detector (:mod:`repro.analysis.concurrency.races`) intersects
   these to find fields no common lock protects;
-* **wait/hold statistics** (:class:`LockStats`) plus an optional live
-  histogram hook (:func:`set_lock_metrics`) exporting
-  ``repro_lock_wait_seconds`` / ``repro_lock_hold_seconds`` through
-  :mod:`repro.obs.metrics`;
 * **a wait-for graph** — a blocked acquire parks in bounded time slices
   and sweeps the graph between slices; a stable thread→lock→owner cycle
   raises :class:`DeadlockError` naming every edge, so an ABBA deadlock
-  terminates the test instead of hanging it.  The background watchdog
-  (:mod:`repro.analysis.concurrency.watchdog`) sweeps the same graph.
+  terminates the test instead of hanging it.
 
 This module is deliberately stdlib-only: :mod:`repro.obs` imports it at
 module level, so it must not import anything from :mod:`repro`.
@@ -35,29 +30,21 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 __all__ = [
     "DeadlockError",
-    "LockStats",
     "TracedLock",
-    "TracedRLock",
     "clear_tracing_state",
     "current_lock_names",
     "current_lockset",
     "disable_lock_tracing",
     "enable_lock_tracing",
     "find_deadlock",
-    "lock_stats_snapshot",
     "lock_tracing",
     "make_lock",
-    "make_rlock",
-    "publish_lock_metrics",
     "recorded_deadlocks",
-    "set_lock_metrics",
-    "traced_locks",
     "tracing_enabled",
     "waiting_threads",
 ]
@@ -82,48 +69,6 @@ class DeadlockError(RuntimeError):
         self.cycle = cycle
 
 
-class LockStats:
-    """Accumulated wait/hold observations of one traced lock."""
-
-    __slots__ = (
-        "acquisitions",
-        "contended",
-        "wait_total",
-        "wait_max",
-        "hold_total",
-        "hold_max",
-    )
-
-    def __init__(self) -> None:
-        self.acquisitions = 0
-        self.contended = 0
-        self.wait_total = 0.0
-        self.wait_max = 0.0
-        self.hold_total = 0.0
-        self.hold_max = 0.0
-
-    def record_wait(self, seconds: float) -> None:
-        self.acquisitions += 1
-        self.wait_total += seconds
-        if seconds > self.wait_max:
-            self.wait_max = seconds
-
-    def record_hold(self, seconds: float) -> None:
-        self.hold_total += seconds
-        if seconds > self.hold_max:
-            self.hold_max = seconds
-
-    def to_dict(self) -> Dict[str, float]:
-        return {
-            "acquisitions": self.acquisitions,
-            "contended": self.contended,
-            "wait_total": self.wait_total,
-            "wait_max": self.wait_max,
-            "hold_total": self.hold_total,
-            "hold_max": self.hold_max,
-        }
-
-
 class _TracingState:
     """Process-wide instrumentation state (one instance, module-private)."""
 
@@ -136,10 +81,6 @@ class _TracingState:
         self.waiting: Dict[int, Tuple["TracedLock", str]] = {}
         #: Every deadlock cycle ever detected (list of edge lists).
         self.deadlocks: List[List[Tuple[str, str]]] = []
-        #: Live traced locks, weakly held so test-created locks can die.
-        self.registry: "weakref.WeakSet[TracedLock]" = weakref.WeakSet()
-        #: ``(wait_family, hold_family)`` histogram families, or None.
-        self.metrics_hook: Optional[Tuple[Any, Any]] = None
 
 
 _STATE = _TracingState()
@@ -152,25 +93,6 @@ def _held_stack() -> List["TracedLock"]:
         stack = []
         _TLS.held = stack
     return stack
-
-
-def _publishing() -> bool:
-    return getattr(_TLS, "publishing", False)
-
-
-@contextmanager
-def _publish_guard():
-    """Suppress the metrics hook while inside the metrics registry.
-
-    Observing a lock histogram acquires the registry's own (traced)
-    lock; without this reentrancy guard that acquire would observe
-    itself, forever.
-    """
-    _TLS.publishing = True
-    try:
-        yield
-    finally:
-        _TLS.publishing = False
 
 
 def tracing_enabled() -> bool:
@@ -202,53 +124,35 @@ def lock_tracing():
         _STATE.enabled = previous
 
 
-def make_lock(name: str, metrics: bool = True):
+def make_lock(name: str):
     """A mutex for attribute guarding: plain or traced, chosen at construction.
 
-    ``name`` labels the lock in statistics, metrics, and deadlock
-    reports; by convention it is the dotted owning-module role, e.g.
-    ``"serve.cache"``.  ``metrics=False`` opts the lock out of the live
-    wait/hold histograms (used for the metrics registry's *own* lock,
-    which the histograms record through).
+    ``name`` labels the lock in locksets and deadlock reports; by
+    convention it is the dotted owning-module role, e.g.
+    ``"serve.cache"``.
     """
     if not _STATE.enabled:
         return threading.Lock()
-    return TracedLock(name, metrics=metrics)
-
-
-def make_rlock(name: str, metrics: bool = True):
-    """Reentrant variant of :func:`make_lock`."""
-    if not _STATE.enabled:
-        return threading.RLock()
-    return TracedRLock(name, metrics=metrics)
+    return TracedLock(name)
 
 
 class TracedLock:
     """A :class:`threading.Lock` wrapper that knows who holds it and why.
 
-    Tracks owner thread, per-thread lockset membership, wait/hold
-    statistics, and participates in the global wait-for graph.  A
-    blocking acquire parks in :data:`DETECT_SLICE` increments and raises
-    :class:`DeadlockError` when a stable cycle forms.
+    Tracks owner thread and per-thread lockset membership, and
+    participates in the global wait-for graph.  A blocking acquire parks
+    in :data:`DETECT_SLICE` increments and raises :class:`DeadlockError`
+    when a stable cycle forms.
     """
 
-    reentrant = False
-
-    def __init__(self, name: str, metrics: bool = True) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.metrics = metrics
-        self.stats = LockStats()
         #: Ident of the holding thread (None when free).  Written only
         #: by the holder; read racily by the deadlock sweep, which
         #: re-verifies any cycle before reporting.
         self.owner: Optional[int] = None
         self.owner_name: str = ""
-        self.acquired_at = 0.0
-        self._inner = self._make_inner()
-        _STATE.registry.add(self)
-
-    def _make_inner(self):
-        return threading.Lock()
+        self._inner = threading.Lock()
 
     # -- context manager ----------------------------------------------
     def __enter__(self) -> "TracedLock":
@@ -264,16 +168,18 @@ class TracedLock:
     # -- acquire/release ----------------------------------------------
     def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
         thread = threading.current_thread()
-        started = time.perf_counter()
         got = self._inner.acquire(False)
         if not got:
             if not blocking:
                 return False
-            self.stats.contended += 1
             with _STATE.guard:
                 _STATE.waiting[thread.ident] = (self, thread.name)
             try:
-                deadline = None if timeout is None or timeout < 0 else started + timeout
+                deadline = (
+                    None
+                    if timeout is None or timeout < 0
+                    else time.perf_counter() + timeout
+                )
                 while not got:
                     slice_s = DETECT_SLICE
                     if deadline is not None:
@@ -291,11 +197,12 @@ class TracedLock:
             finally:
                 with _STATE.guard:
                     _STATE.waiting.pop(thread.ident, None)
-        self._note_acquired(thread, time.perf_counter() - started)
+        self.owner = thread.ident
+        self.owner_name = thread.name
+        _held_stack().append(self)
         return True
 
     def release(self) -> None:
-        held_for = time.perf_counter() - self.acquired_at
         self.owner = None
         self.owner_name = ""
         stack = _held_stack()
@@ -304,65 +211,10 @@ class TracedLock:
                 del stack[index]
                 break
         self._inner.release()
-        self.stats.record_hold(held_for)
-        self._observe("hold", held_for)
-
-    def _note_acquired(self, thread: threading.Thread, waited: float) -> None:
-        self.owner = thread.ident
-        self.owner_name = thread.name
-        self.acquired_at = time.perf_counter()
-        _held_stack().append(self)
-        self.stats.record_wait(waited)
-        self._observe("wait", waited)
-
-    def _observe(self, kind: str, seconds: float) -> None:
-        hook = _STATE.metrics_hook
-        if hook is None or not self.metrics or _publishing():
-            return
-        family = hook[0] if kind == "wait" else hook[1]
-        with _publish_guard():
-            family.labels(lock=self.name).observe(seconds)
 
     def __repr__(self) -> str:  # pragma: no cover — debug aid
         state = f"held by {self.owner_name!r}" if self.owner is not None else "free"
         return f"{type(self).__name__}({self.name!r}, {state})"
-
-
-class TracedRLock(TracedLock):
-    """Reentrant traced lock: nested acquires by the owner never block."""
-
-    reentrant = True
-
-    def __init__(self, name: str, metrics: bool = True) -> None:
-        self._depth = 0
-        super().__init__(name, metrics=metrics)
-
-    def _make_inner(self):
-        return threading.RLock()
-
-    def acquire(self, blocking: bool = True, timeout: float = -1) -> bool:
-        thread = threading.current_thread()
-        if self.owner == thread.ident:
-            # Reentry: the inner RLock cannot block; skip the wait-for
-            # bookkeeping and keep the outermost acquisition's timing.
-            self._inner.acquire()
-            self._depth += 1
-            return True
-        got = super().acquire(blocking, timeout)
-        if got:
-            self._depth = 1
-        return got
-
-    def release(self) -> None:
-        if self._depth > 1:
-            self._depth -= 1
-            self._inner.release()
-            return
-        self._depth = 0
-        super().release()
-
-    def locked(self) -> bool:
-        return self.owner is not None
 
 
 # -- per-thread lockset introspection ---------------------------------
@@ -378,11 +230,6 @@ def current_lock_names() -> Tuple[str, ...]:
     return tuple(lock.name for lock in _held_stack())
 
 
-def traced_locks() -> List[TracedLock]:
-    """A snapshot of every live traced lock."""
-    return list(_STATE.registry)
-
-
 def waiting_threads() -> Dict[int, Tuple[TracedLock, str]]:
     """A snapshot of the wait-for graph's thread→lock edges."""
     with _STATE.guard:
@@ -390,7 +237,7 @@ def waiting_threads() -> Dict[int, Tuple[TracedLock, str]]:
 
 
 def clear_tracing_state() -> None:
-    """Drop recorded deadlocks and forget dead locks (test isolation)."""
+    """Drop recorded deadlocks and wait-for edges (test isolation)."""
     with _STATE.guard:
         _STATE.deadlocks.clear()
         _STATE.waiting.clear()
@@ -441,91 +288,3 @@ def find_deadlock(start_ident: int) -> Optional[List[Tuple[str, str]]]:
     time.sleep(0.002)
     second = _trace_cycle(start_ident)
     return first if first == second else None
-
-
-# -- metrics export ----------------------------------------------------
-
-
-def set_lock_metrics(registry) -> None:
-    """Stream per-acquisition wait/hold into histogram families.
-
-    ``registry`` is duck-typed as :class:`repro.obs.metrics.MetricsRegistry`;
-    the families are ``repro_lock_wait_seconds{lock}`` and
-    ``repro_lock_hold_seconds{lock}``.  Pass ``None`` to detach.
-    """
-    if registry is None:
-        _STATE.metrics_hook = None
-        return
-    buckets = (1e-6, 1e-5, 1e-4, 1e-3, 5e-3, 0.025, 0.1, 0.5, 2.0)
-    wait = registry.histogram(
-        "repro_lock_wait_seconds",
-        "Seconds spent waiting to acquire a traced lock",
-        labels=("lock",),
-        buckets=buckets,
-    )
-    hold = registry.histogram(
-        "repro_lock_hold_seconds",
-        "Seconds a traced lock stayed held per acquisition",
-        labels=("lock",),
-        buckets=buckets,
-    )
-    _STATE.metrics_hook = (wait, hold)
-
-
-def lock_stats_snapshot() -> Dict[str, Dict[str, float]]:
-    """Aggregate :class:`LockStats` across live locks, keyed by lock name.
-
-    Several lock instances may share a name (every ``TTLCache`` calls
-    its lock ``serve.cache``); their statistics sum.
-    """
-    merged: Dict[str, Dict[str, float]] = {}
-    for lock in traced_locks():
-        stats = lock.stats.to_dict()
-        into = merged.get(lock.name)
-        if into is None:
-            stats["locks"] = 1
-            merged[lock.name] = stats
-        else:
-            into["locks"] += 1
-            into["acquisitions"] += stats["acquisitions"]
-            into["contended"] += stats["contended"]
-            into["wait_total"] += stats["wait_total"]
-            into["hold_total"] += stats["hold_total"]
-            into["wait_max"] = max(into["wait_max"], stats["wait_max"])
-            into["hold_max"] = max(into["hold_max"], stats["hold_max"])
-    return merged
-
-
-def publish_lock_metrics(registry) -> Dict[str, Dict[str, float]]:
-    """Export the aggregate lock snapshot as ``repro_lock_*`` gauges.
-
-    Gauges (not counters) on purpose: each call publishes the *current*
-    aggregate, so repeated publication is idempotent.  Returns the
-    snapshot it published.  The wait/hold *distributions* come from
-    :func:`set_lock_metrics` instead.
-    """
-    snapshot = lock_stats_snapshot()
-    with _publish_guard():
-        acq = registry.gauge(
-            "repro_lock_acquisitions", "Total acquisitions per traced lock name",
-            labels=("lock",),
-        )
-        contended = registry.gauge(
-            "repro_lock_contended", "Acquisitions that had to wait, per lock name",
-            labels=("lock",),
-        )
-        held_max = registry.gauge(
-            "repro_lock_hold_seconds_max", "Longest single hold per lock name",
-            labels=("lock",),
-        )
-        for name, stats in snapshot.items():
-            acq.labels(lock=name).set(stats["acquisitions"])
-            contended.labels(lock=name).set(stats["contended"])
-            held_max.labels(lock=name).set(stats["hold_max"])
-        registry.gauge(
-            "repro_lock_waiters", "Threads currently blocked on a traced lock"
-        ).labels().set(len(waiting_threads()))
-        registry.gauge(
-            "repro_lock_deadlocks", "Wait-for cycles detected since start"
-        ).labels().set(len(recorded_deadlocks()))
-    return snapshot

@@ -12,8 +12,8 @@ executing a single numpy op.
 :func:`check_shapes` applies the protocol to the full RRRE model (or an
 :class:`repro.core.RRREConfig`), mirroring ``RRRE.forward`` symbolically:
 encoder → fraud-attention pooling → reliability head → FM rating head.
-Any config — including ones arriving from the CLI — is therefore
-validated before training starts (``RRRETrainer.fit(validate=...)`` and
+Any config — including ones arriving from the CLI — can therefore be
+validated before training starts (:func:`repro.analysis.preflight` and
 ``python -m repro analyze --shapes``).
 """
 

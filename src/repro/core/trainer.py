@@ -128,7 +128,6 @@ class RRRETrainer:
         keep_checkpoints: int = 3,
         guard: Union[None, bool, DivergencePolicy, DivergenceGuard] = None,
         chaos: Optional[ChaosEngine] = None,
-        validate: Optional[str] = None,
     ) -> "RRRETrainer":
         """Train on ``train``; optionally evaluate on ``test`` per epoch.
 
@@ -156,17 +155,6 @@ class RRRETrainer:
         state plus learning-rate backoff, raising
         :class:`repro.resilience.DivergenceError` once retries are
         exhausted.  ``chaos`` injects deterministic faults for tests.
-
-        ``validate`` runs the static-analysis pre-flight (see
-        ``docs/analysis.md``) before the first epoch: ``"shapes"``
-        symbolically checks the full dataflow without a forward pass;
-        ``"strict"`` additionally executes one tiny eval-mode forward
-        and validates its autograd tape (dead parameters, detachment,
-        non-finite values, dropout-mode bugs).  A violation raises
-        :class:`repro.analysis.PreflightError` before any training
-        compute is spent; the eval-mode probe leaves the training RNG
-        streams untouched, so results are bitwise-identical with the
-        hook on or off.
         """
         cfg = self.config
         if checkpoint_every < 1:
@@ -190,11 +178,6 @@ class RRRETrainer:
         rng = np.random.default_rng(cfg.seed)
         with observer.phase("fit.vocab", "data"):
             self._prepare(dataset, train)
-        if validate:
-            from repro.analysis import preflight
-
-            with observer.phase("fit.preflight", "phase"):
-                preflight(self.model, self.slots, self.table, mode=validate)
         if cfg.pretrain_words and restored is None:
             # A resumed run restores the trained word vectors from the
             # checkpoint; re-running skip-gram would be wasted work.

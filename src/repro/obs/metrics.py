@@ -345,10 +345,7 @@ class MetricsRegistry:
     """
 
     def __init__(self) -> None:
-        # metrics=False: the lock-wait/hold histograms live *inside*
-        # this registry — observing them through a traced registry
-        # lock would recurse.
-        self._lock = make_lock("obs.metrics.registry", metrics=False)
+        self._lock = make_lock("obs.metrics.registry")
         self._families: Dict[str, _Family] = {}
 
     # -- family constructors ------------------------------------------

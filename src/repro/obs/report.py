@@ -312,7 +312,7 @@ def _render_health(health: Dict[str, Any]) -> str:
 
 
 def _sparkline(values: List[float]) -> str:
-    """Local sparkline (kept import-free; mirrors repro.eval.reporting)."""
+    """Loss-curve sparkline of the run report and the ``watch`` board."""
     blocks = "▁▂▃▄▅▆▇█"
     lo, hi = min(values), max(values)
     span = (hi - lo) or 1.0

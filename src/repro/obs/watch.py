@@ -22,9 +22,9 @@ from collections import Counter as TallyCounter
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-__all__ = ["WatchState", "render_file", "watch"]
+from .report import _sparkline
 
-_SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
+__all__ = ["WatchState", "render_file", "watch"]
 
 #: ANSI: clear screen and home the cursor (follow-mode redraw).
 _CLEAR = "\x1b[2J\x1b[H"
@@ -46,8 +46,6 @@ class WatchState:
         self.final: Dict[str, Any] = {}
         self.span_kinds: TallyCounter = TallyCounter()
         self.open_spans: Dict[str, Dict[str, Any]] = {}
-        self.lock_stats: Dict[str, Any] = {}
-        self.lock_alerts: List[Dict[str, Any]] = []
         self.events_seen = 0
         self.last_ts: Optional[float] = None
         self.finished = False
@@ -88,11 +86,6 @@ class WatchState:
                 self.epochs.append(dict(attrs))
             elif name == "health":
                 self.alerts.append(dict(attrs))
-            elif name == "lock_stats":
-                # Watchdog heartbeat: keep the newest aggregate only.
-                self.lock_stats = dict(attrs)
-            elif name == "lock_alert":
-                self.lock_alerts.append(dict(attrs))
             elif name == "run_end":
                 self.final = dict(attrs)
                 self.finished = True
@@ -166,22 +159,6 @@ class WatchState:
         else:
             lines.append("health: ok (no alerts)")
 
-        if self.lock_stats:
-            stats = self.lock_stats
-            lines.append(
-                "locks:  "
-                f"{stats.get('locks', 0)} traced  "
-                f"acquisitions={stats.get('acquisitions', 0)}  "
-                f"contended={stats.get('contended', 0)}  "
-                f"waiters={stats.get('waiters', 0)}  "
-                f"hold_max={stats.get('hold_max', 0.0)}s  "
-                f"deadlocks={stats.get('deadlocks', 0)}"
-            )
-        if self.lock_alerts:
-            lines.append(f"lock alerts: {len(self.lock_alerts)}")
-            for alert in self.lock_alerts[-4:]:
-                lines.append(f"  [{alert.get('kind', '?')}] {alert.get('detail', '')}")
-
         if self.span_kinds:
             tally = "  ".join(
                 f"{kind}={count}" for kind, count in sorted(self.span_kinds.items())
@@ -206,14 +183,6 @@ def _num(value: Any, fmt: str = "{:.4f}") -> str:
     if isinstance(value, (int, float)):
         return fmt.format(value)
     return "-"
-
-
-def _sparkline(values: List[float]) -> str:
-    lo, hi = min(values), max(values)
-    span = (hi - lo) or 1.0
-    return "".join(
-        _SPARK_BLOCKS[int((v - lo) / span * (len(_SPARK_BLOCKS) - 1))] for v in values
-    )
 
 
 def render_file(path) -> str:

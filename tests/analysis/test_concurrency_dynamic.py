@@ -1,5 +1,5 @@
-"""Tests for the traced-lock runtime, the Eraser race detector, and the
-deadlock watchdog (``repro.analysis.concurrency``)."""
+"""Tests for the traced-lock runtime, the Eraser race detector, and
+wait-for-graph deadlock detection (``repro.analysis.concurrency``)."""
 
 import threading
 
@@ -7,14 +7,11 @@ import pytest
 
 from repro.analysis.concurrency import (
     DeadlockError,
-    DeadlockWatchdog,
     RaceDetector,
     TracedLock,
-    TracedRLock,
     instrument_class,
     lock_tracing,
     make_lock,
-    make_rlock,
     race_detection,
     tracing_enabled,
 )
@@ -23,10 +20,7 @@ from repro.analysis.concurrency.locks import (
     current_lock_names,
     current_lockset,
     find_deadlock,
-    lock_stats_snapshot,
-    publish_lock_metrics,
     recorded_deadlocks,
-    set_lock_metrics,
 )
 from repro.analysis.concurrency.races import (
     active_detector,
@@ -34,9 +28,6 @@ from repro.analysis.concurrency.races import (
     uninstall_detector,
     uninstrument_class,
 )
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import Tracer, use_tracer
-from repro.obs.watch import WatchState
 
 
 @pytest.fixture(autouse=True)
@@ -44,23 +35,17 @@ def _clean_state():
     clear_tracing_state()
     yield
     clear_tracing_state()
-    set_lock_metrics(None)
 
 
 class TestMakeLock:
     def test_disabled_returns_plain_stdlib_locks(self):
         assert not tracing_enabled()
         assert type(make_lock("t.plain")) is type(threading.Lock())
-        # RLocks have no public type; duck-check it is not traced.
-        assert not isinstance(make_rlock("t.plain"), TracedLock)
 
     def test_enabled_returns_traced_locks(self):
         with lock_tracing():
             assert tracing_enabled()
-            lock = make_lock("t.traced")
-            rlock = make_rlock("t.traced.re")
-            assert isinstance(lock, TracedLock)
-            assert isinstance(rlock, TracedRLock)
+            assert isinstance(make_lock("t.traced"), TracedLock)
         assert not tracing_enabled()
 
     def test_lock_tracing_restores_previous_state(self):
@@ -83,7 +68,6 @@ class TestTracedLock:
         assert not lock.locked()
         assert lock.owner is None
         assert current_lock_names() == ()
-        assert lock.stats.acquisitions == 1
 
     def test_nonblocking_acquire_fails_when_held(self):
         lock = TracedLock("t.nonblock")
@@ -112,32 +96,6 @@ class TestTracedLock:
             assert results == [False]
         finally:
             lock.release()
-
-    def test_contention_counts(self):
-        lock = TracedLock("t.contend")
-        lock.acquire()
-        t = threading.Thread(target=lambda: (lock.acquire(), lock.release()))
-        t.start()
-        while lock.stats.contended == 0 and t.is_alive():
-            pass
-        lock.release()
-        t.join(timeout=5.0)
-        assert lock.stats.contended >= 1
-        assert lock.stats.acquisitions == 2
-
-
-class TestTracedRLock:
-    def test_reentry_by_owner(self):
-        lock = TracedRLock("t.re")
-        with lock:
-            with lock:
-                assert lock.locked()
-                # Reentry keeps one lockset entry (same lock, outermost).
-                assert current_lock_names() == ("t.re",)
-            assert lock.locked()
-        assert not lock.locked()
-        # Reentry does not count as a second acquisition.
-        assert lock.stats.acquisitions == 1
 
 
 class TestRaceDetector:
@@ -313,104 +271,3 @@ class TestDeadlockDetection:
 
     def test_find_deadlock_none_for_idle_thread(self):
         assert find_deadlock(threading.get_ident()) is None
-
-
-class TestWatchdog:
-    def test_held_too_long_alarm_fires_once_per_hold(self):
-        lock = TracedLock("t.watchdog.hold")
-        seen = []
-        dog = DeadlockWatchdog(hold_alarm=0.0, on_alert=seen.append)
-        with lock:
-            first = dog.sweep()
-            second = dog.sweep()
-        assert [a.kind for a in first] == ["held_too_long"]
-        assert "t.watchdog.hold" in first[0].detail
-        assert second == []  # one alarm per continuous hold
-        assert dog.alerts() == first == seen
-
-    def test_deadlock_alert_from_recorded_cycle(self):
-        dog = DeadlockWatchdog(hold_alarm=60.0)
-        _abba(TracedLock("t.watchdog.a"), TracedLock("t.watchdog.b"))
-        alerts = dog.sweep()
-        kinds = [a.kind for a in alerts]
-        assert "deadlock" in kinds
-        alert = alerts[kinds.index("deadlock")]
-        assert "waits on" in alert.detail
-        assert set(alert.to_dict()) == {"kind", "detail", "lock", "thread", "seconds"}
-
-    def test_start_stop_lifecycle(self):
-        with DeadlockWatchdog(interval=0.01) as dog:
-            assert dog._thread is not None and dog._thread.daemon
-        assert dog._thread is None
-
-    def test_sweep_emits_watchable_events(self):
-        tracer = Tracer()  # memory sink
-        lock = TracedLock("t.watchdog.events")
-        dog = DeadlockWatchdog(hold_alarm=0.0)
-        with use_tracer(tracer):
-            with lock:
-                dog.sweep()
-        names = [e.get("name") for e in tracer.events]
-        assert "lock_stats" in names
-        assert "lock_alert" in names
-        # The watch board renders both event kinds.
-        state = WatchState()
-        for event in tracer.events:
-            state.feed(event)
-        screen = state.render()
-        assert "locks:" in screen
-        assert "lock alerts: 1" in screen
-
-
-class TestLockMetrics:
-    def test_stats_snapshot_merges_by_name(self):
-        locks = [TracedLock("t.snapshot.shared") for _ in range(2)]
-        for lock in locks:
-            with lock:
-                pass
-            with lock:
-                pass
-        merged = lock_stats_snapshot()["t.snapshot.shared"]
-        assert merged["locks"] == 2
-        assert merged["acquisitions"] == 4
-
-    def test_wait_hold_histograms(self):
-        registry = MetricsRegistry()
-        set_lock_metrics(registry)
-        try:
-            lock = TracedLock("t.metrics.histo")
-            with lock:
-                pass
-        finally:
-            set_lock_metrics(None)
-        snapshot = registry.snapshot()
-        for name in ("repro_lock_wait_seconds", "repro_lock_hold_seconds"):
-            family = snapshot[name]
-            assert family["kind"] == "histogram"
-            samples = [
-                s for s in family["samples"]
-                if s["labels"] == {"lock": "t.metrics.histo"}
-            ]
-            assert samples and samples[0]["count"] == 1
-
-    def test_publish_lock_metrics_gauges(self):
-        registry = MetricsRegistry()
-        lock = TracedLock("t.metrics.gauge")
-        with lock:
-            pass
-        snapshot = publish_lock_metrics(registry)
-        assert "t.metrics.gauge" in snapshot
-        exported = registry.snapshot()
-        for name in (
-            "repro_lock_acquisitions",
-            "repro_lock_contended",
-            "repro_lock_hold_seconds_max",
-            "repro_lock_waiters",
-            "repro_lock_deadlocks",
-        ):
-            assert name in exported
-        acq = [
-            s for s in exported["repro_lock_acquisitions"]["samples"]
-            if s["labels"] == {"lock": "t.metrics.gauge"}
-        ]
-        assert acq and acq[0]["value"] == 1

@@ -545,12 +545,11 @@ class TestLockModels:
     def test_make_lock_factory_recognized(self):
         models = _models(
             """
-            from repro.analysis.concurrency.locks import make_lock, make_rlock
+            from repro.analysis.concurrency.locks import make_lock
 
             class Served:
                 def __init__(self):
                     self._lock = make_lock("serve.test")
-                    self._rlock = make_rlock("serve.test.re")
                     self.value = 0
 
                 def bump(self):
@@ -558,7 +557,7 @@ class TestLockModels:
                         self.value += 1
             """
         )
-        assert models["Served"].locks == {"_lock", "_rlock"}
+        assert models["Served"].locks == {"_lock"}
 
     def test_lock_named_init_parameter_recognized(self):
         models = _models(
