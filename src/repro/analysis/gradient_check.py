@@ -2,9 +2,10 @@
 
 :func:`gradcheck` compares reverse-mode gradients against central finite
 differences of a random linear projection of the outputs — the standard
-harness for certifying a hand-written backward.  Everything runs in
-float64 (the substrate's native dtype), so the agreement tolerance can be
-tight (relative error < 1e-4 by default).
+harness for certifying a hand-written backward (a scalar output is
+differentiated as it is).  Everything runs in float64 (the substrate's
+native dtype), so the agreement tolerance can be tight (relative error
+< 1e-4 by default).
 
 Every shipped layer registers a canonical case via
 :func:`register_layer_case`; :func:`run_layer_gradchecks` sweeps them all,
@@ -76,8 +77,8 @@ def _as_tuple(value) -> Tuple:
 
 
 def _scalar_loss(outputs: Tuple, projections: Sequence[np.ndarray]) -> Tensor:
-    """Project every output with a fixed random vector and sum — a scalar
-    whose gradient exercises all output components."""
+    """Project every output with a fixed vector and sum — a scalar whose
+    gradient exercises all output components."""
     total = None
     for out, proj in zip(outputs, projections):
         term = F.sum(out * Tensor(proj))
@@ -113,13 +114,15 @@ def gradcheck(
         ``fn``).
     eps / rtol / atol:
         Central-difference step and agreement tolerances: an element
-        passes when ``|analytic - numeric| <= max(rtol * scale, atol)``
-        with ``scale = max(|analytic|, |numeric|, atol/rtol)``.
+        passes when ``|analytic - numeric| <= atol + rtol * |numeric|``
+        (the rule of ``numpy.testing.assert_allclose``); a NaN fails.
     max_elements:
         Cap the number of elements perturbed per tensor (evenly strided
         subsample); None checks every element.
     seed:
-        Seed of the fixed output-projection vectors.
+        Seed of the random projection of every output with more than one
+        element; a one-element output is projected by 1, so ``atol``
+        bounds the error of its own gradient.
     raise_on_failure:
         Raise ``AssertionError`` with the failure table instead of
         returning a failed result.
@@ -136,7 +139,10 @@ def gradcheck(
         raise ValueError("gradcheck needs at least one requires_grad tensor to check")
 
     outputs = _as_tuple(fn(*inputs))
-    projections = [rng.normal(size=out.shape) for out in outputs]
+    projections = [
+        np.ones(out.shape) if out.size == 1 else rng.normal(size=out.shape)
+        for out in outputs
+    ]
 
     # Analytic gradients ------------------------------------------------
     for _, tensor in checked:
@@ -171,12 +177,10 @@ def gradcheck(
             flat[idx] = original
             numeric = (plus - minus) / (2.0 * eps)
             a = float(grad_flat[idx])
-            err = abs(a - numeric)
-            scale = max(abs(a), abs(numeric), floor)
-            rel = err / scale
+            rel = abs(a - numeric) / (abs(numeric) + floor)
             result.max_rel_err = max(result.max_rel_err, rel)
             result.num_checked += 1
-            if rel > rtol:
+            if not rel <= rtol:
                 result.failures.append(
                     GradcheckFailure(label, int(idx), a, numeric, rel)
                 )
