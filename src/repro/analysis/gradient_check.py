@@ -303,24 +303,6 @@ def _case_dropout(rng):
     return fn, [x], []
 
 
-@register_layer_case("Sequential")
-def _case_sequential(rng):
-    from repro.nn import Linear, Sequential
-
-    layer = Sequential(Linear(4, 6, rng), F.tanh, Linear(6, 2, rng))
-    x = _leaf(rng, (3, 4), "x")
-    return (lambda t: layer(t)), [x], layer.parameters()
-
-
-@register_layer_case("MLP")
-def _case_mlp(rng):
-    from repro.nn import MLP
-
-    layer = MLP([5, 4, 2], rng, activation=F.tanh)
-    x = _leaf(rng, (3, 5), "x")
-    return (lambda t: layer(t)), [x], layer.parameters()
-
-
 @register_layer_case("Conv1d")
 def _case_conv1d(rng):
     from repro.nn import Conv1d

@@ -27,9 +27,9 @@ MUT002    Call-based in-place write to a ``.data`` array: an ``out=``
           mutating ndarray method (``p.data.fill(…)``, ``.sort()``, …).
           These bypass the version-counter bump the assignment setter
           performs, so the graph validator and the fused BiLSTM's
-          backward cannot see the mutation.  Only the two optimizer
-          update sites (which call ``bump_version()`` themselves) are
-          whitelisted.
+          backward cannot see the mutation.  Only the optimizer's one
+          update site, ``repro.nn.optim._descend`` (which calls
+          ``bump_version()`` itself), is whitelisted.
 LOCK001   Shared attribute accessed both under and outside the lock
           that guards it elsewhere in the class (see
           :mod:`repro.analysis.concurrency.lint_locks`).
@@ -48,7 +48,7 @@ design).
 
 A violation is suppressed by appending ``# lint: allow[RULE001]`` (one
 or more comma-separated rule IDs) to the offending line, which is how
-the optimizer update sites are whitelisted.
+the optimizer update site is whitelisted.
 """
 
 from __future__ import annotations
@@ -71,7 +71,7 @@ RULES: Dict[str, str] = {
     "TIME001": "wall-clock read (time.time/datetime.now); confine timestamps to repro.obs",
     "DTYPE001": "dtype-less np.array/np.asarray in repro.nn; the substrate is float64-only",
     "MUT001": "assignment to a Tensor .data attribute outside a whitelisted optimizer site",
-    "MUT002": "call-based in-place write to a .data array outside a whitelisted optimizer site",
+    "MUT002": "call-based in-place write to a .data array outside the whitelisted optimizer site",
     "LOCK001": "shared attribute accessed both under and outside its guarding lock",
     "LOCK002": "inconsistent lock acquisition order across methods (potential deadlock)",
     "LOCK003": "blocking call (I/O, sleep, result/wait without timeout) while holding a lock",

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -59,7 +59,6 @@ class RRREConfig:
     lambda_weight: float = 0.4
     biased_loss: bool = True
     pretrain_words: bool = True
-    share_word_embeddings: bool = True
 
     # Optimization
     lr: float = 0.004
@@ -72,8 +71,6 @@ class RRREConfig:
     # Vocabulary
     min_word_count: int = 1
     max_vocab: int = 4000
-
-    extras: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.review_dim % 2 != 0:

@@ -75,11 +75,7 @@ class RRRE(nn.Module):
             vocab_size, config.word_dim, rng, padding_idx=0
         )
         self.user_encoder = make_encoder(config.encoder, self.word_embedding, k, rng)
-        if config.share_word_embeddings:
-            item_words = self.word_embedding
-        else:
-            item_words = nn.Embedding(vocab_size, config.word_dim, rng, padding_idx=0)
-        self.item_encoder = make_encoder(config.encoder, item_words, k, rng)
+        self.item_encoder = make_encoder(config.encoder, self.word_embedding, k, rng)
 
         self.user_id_embedding = nn.Embedding(num_users, config.id_dim, rng)
         self.item_id_embedding = nn.Embedding(num_items, config.id_dim, rng)
@@ -159,11 +155,10 @@ class RRRE(nn.Module):
     def component_summary(self) -> dict:
         """Parameter count per top-level component, largest first.
 
-        Shared submodules (e.g. the word embedding when
-        ``share_word_embeddings=True``) are counted under every component
-        that references them, so the values can sum to more than
-        :meth:`num_parameters`.  Feeds the ``model`` section of
-        :class:`repro.obs.RunReport`.
+        Shared submodules (the word embedding both review encoders read)
+        are counted under every component that references them, so the
+        values can sum to more than :meth:`num_parameters`.  Feeds the
+        ``model`` section of :class:`repro.obs.RunReport`.
         """
         totals = {
             attr: sum(p.size for p in value.parameters())

@@ -88,46 +88,6 @@ def format_series(
     return "\n".join(lines)
 
 
-def format_profile(
-    title: str,
-    layers: Sequence[Mapping[str, float]],
-    top: int = 12,
-    sort_key: str = "forward_seconds",
-) -> str:
-    """Render per-layer profile dicts as a fixed-width table.
-
-    ``layers`` is the output of
-    :meth:`repro.obs.ModuleProfiler.layer_profiles` (or the ``layers``
-    field of a :class:`repro.obs.RunReport`): dicts with ``name``,
-    ``calls``, ``forward_seconds``, ``backward_seconds``,
-    ``grad_norm_mean``, and ``parameters`` keys.  Rows are sorted by
-    ``sort_key`` descending and truncated to ``top``.
-    """
-    ordered = sorted(layers, key=lambda l: -float(l.get(sort_key, 0.0)))[:top]
-    name_width = max([len(str(l.get("name", ""))) for l in ordered] + [10]) + 2
-    header = (
-        "layer".ljust(name_width)
-        + "calls".rjust(7)
-        + "fwd s".rjust(9)
-        + "bwd s".rjust(9)
-        + "grad|g|".rjust(10)
-        + "params".rjust(10)
-    )
-    lines = [title, "=" * len(header), header, "-" * len(header)]
-    for layer in ordered:
-        lines.append(
-            str(layer.get("name", "")).ljust(name_width)
-            + f"{int(layer.get('calls', 0)):>7}"
-            + f"{float(layer.get('forward_seconds', 0.0)):>9.3f}"
-            + f"{float(layer.get('backward_seconds', 0.0)):>9.3f}"
-            + f"{float(layer.get('grad_norm_mean', 0.0)):>10.3f}"
-            + f"{int(layer.get('parameters', 0)):>10}"
-        )
-    if len(layers) > top:
-        lines.append(f"... {len(layers) - top} more layers")
-    return "\n".join(lines)
-
-
 def sparkline(values: Sequence[float], width: int = 40) -> str:
     """Tiny unicode chart for a numeric sequence (docs and logs)."""
     if not values:

@@ -16,19 +16,6 @@ def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) ->
     return rng.uniform(-bound, bound, size=shape)
 
 
-def xavier_normal(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier normal: N(0, gain^2 * 2/(fan_in+fan_out))."""
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape)
-
-
-def he_normal(shape: tuple, rng: np.random.Generator) -> np.ndarray:
-    """Kaiming/He normal for ReLU networks: N(0, 2/fan_in)."""
-    fan_in, _ = _fans(shape)
-    return rng.normal(0.0, np.sqrt(2.0 / fan_in), size=shape)
-
-
 def uniform(shape: tuple, rng: np.random.Generator, bound: float = 0.1) -> np.ndarray:
     """Plain uniform in [-bound, bound] (used for ID embeddings)."""
     return rng.uniform(-bound, bound, size=shape)
@@ -42,18 +29,6 @@ def normal(shape: tuple, rng: np.random.Generator, std: float = 0.1) -> np.ndarr
 def zeros(shape: tuple) -> np.ndarray:
     """All-zero array (biases)."""
     return np.zeros(shape)
-
-
-def orthogonal(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Orthogonal init (recurrent weight matrices); 2-d shapes only."""
-    if len(shape) != 2:
-        raise ValueError(f"orthogonal init needs a 2-d shape, got {shape}")
-    rows, cols = shape
-    mat = rng.normal(0.0, 1.0, size=(max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(mat)
-    q = q * np.sign(np.diag(r))  # make deterministic up to rng
-    q = q[:rows, :cols] if rows >= cols else q[:cols, :rows].T
-    return gain * q
 
 
 def _fans(shape: tuple) -> tuple:

@@ -1,8 +1,8 @@
-"""Core feed-forward layers: Linear, Embedding, Dropout, Sequential, MLP."""
+"""Core feed-forward layers: Linear, Embedding, Dropout."""
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -101,7 +101,7 @@ class Embedding(Module):
             indices.dims + (S.Dim.of(self.embedding_dim),), "float64", indices.name
         )
 
-    def load_pretrained(self, vectors: np.ndarray, freeze: bool = False) -> None:
+    def load_pretrained(self, vectors: np.ndarray) -> None:
         """Overwrite the table with pretrained ``vectors``."""
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.shape != (self.num_embeddings, self.embedding_dim):
@@ -112,8 +112,6 @@ class Embedding(Module):
         self.weight.data = vectors.copy()  # lint: allow[MUT001] — pretrained load happens before any tape records the table
         if self.padding_idx is not None:
             self.weight.data[self.padding_idx] = 0.0  # lint: allow[MUT001] — padding row is zero by construction
-        if freeze:
-            self.weight.requires_grad = False
 
 
 class Dropout(Module):
@@ -133,68 +131,4 @@ class Dropout(Module):
         from repro.analysis import shapes as S
 
         S.expect_dtype(x, "float64", layer=f"Dropout({self.rate})")
-        return x
-
-
-class Sequential(Module):
-    """Run modules (or bare callables such as ``F.relu``) in order."""
-
-    def __init__(self, *steps) -> None:
-        super().__init__()
-        self.steps = list(steps)
-
-    def forward(self, x: Tensor) -> Tensor:
-        for step in self.steps:
-            x = step(x)
-        return x
-
-    def shape_spec(self, x):
-        from repro.analysis import shapes as S
-        from .module import Module
-
-        for index, step in enumerate(self.steps):
-            if isinstance(step, Module):
-                x = S.apply_spec(step, f"steps.{index}", x)
-            # Bare callables (F.relu, F.tanh, ...) are elementwise and
-            # shape-preserving by contract; pass the spec through.
-        return x
-
-
-class MLP(Module):
-    """Multi-layer perceptron with a configurable activation.
-
-    ``sizes`` is the full width sequence including input and output, e.g.
-    ``MLP([64, 32, 1], rng)`` builds two Linear layers with the activation
-    between them (none after the last).
-    """
-
-    def __init__(
-        self,
-        sizes: Sequence[int],
-        rng: np.random.Generator,
-        activation: Callable[[Tensor], Tensor] = F.relu,
-        dropout: float = 0.0,
-    ) -> None:
-        super().__init__()
-        if len(sizes) < 2:
-            raise ValueError("MLP needs at least input and output sizes")
-        self.layers = [Linear(a, b, rng) for a, b in zip(sizes[:-1], sizes[1:])]
-        self.activation = activation
-        self.dropout = Dropout(dropout, rng) if dropout > 0 else None
-
-    def forward(self, x: Tensor) -> Tensor:
-        last = len(self.layers) - 1
-        for i, layer in enumerate(self.layers):
-            x = layer(x)
-            if i != last:
-                x = self.activation(x)
-                if self.dropout is not None:
-                    x = self.dropout(x)
-        return x
-
-    def shape_spec(self, x):
-        from repro.analysis import shapes as S
-
-        for index, layer in enumerate(self.layers):
-            x = S.apply_spec(layer, f"layers.{index}", x)
         return x

@@ -49,21 +49,3 @@ def cross_entropy_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     log_probs = F.log_softmax(logits, axis=-1)
     picked = F.getitem(log_probs, (np.arange(len(labels)), labels))
     return -F.mean(picked)
-
-
-def binary_cross_entropy_loss(probabilities: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean BCE on probabilities in (0, 1); clips for numerical safety."""
-    labels = np.asarray(labels, dtype=np.float64)
-    p = F.clip(probabilities, 1e-12, 1.0 - 1e-12)
-    return -F.mean(Tensor(labels) * F.log(p) + Tensor(1.0 - labels) * F.log(1.0 - p))
-
-
-def l2_penalty(parameters) -> Tensor:
-    """Σ ||ε||² over an iterable of parameters — the γ term in Eq. 13/14."""
-    total = None
-    for param in parameters:
-        term = F.sum(param * param)
-        total = term if total is None else total + term
-    if total is None:
-        return Tensor(0.0)
-    return total

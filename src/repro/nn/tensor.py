@@ -173,9 +173,10 @@ class Tensor:
         """Record a sanctioned in-place write to :attr:`data`.
 
         Writers that mutate the underlying array through ``out=``-style
-        kernels (the optimizer update sites) bypass the ``data`` setter; calling this afterwards keeps
-        the version counter — and therefore the graph validator's
-        mutation detection — truthful about the write.
+        kernels (the optimizer update site) bypass the ``data`` setter;
+        calling this afterwards keeps the version counter — and
+        therefore the graph validator's mutation detection — truthful
+        about the write.
         """
         self._version += 1
         if _track_mutation_sites:

@@ -1,8 +1,8 @@
 """Versioned training checkpoints: atomic writes, manifests, fallback.
 
-A checkpoint is a :class:`TrainState` bundle — model weights, optimizer
-slots (Adam/RMSprop moments, SGD velocity), RNG streams, epoch counter,
-and training history — persisted as a pair of files:
+A checkpoint is a :class:`TrainState` bundle — model weights, the Adam
+moments, RNG streams, epoch counter, and training history — persisted
+as a pair of files:
 
 ``ckpt-<epoch>.npz``
     Every array of the bundle, flattened under ``model/<name>`` and
@@ -67,7 +67,7 @@ class TrainState:
 
     ``model_state`` and the array slots inside ``optimizer_state`` are
     private copies (both :meth:`repro.nn.Module.state_dict` and
-    :meth:`repro.nn.Optimizer.state_dict` copy), so a held ``TrainState``
+    :meth:`repro.nn.Adam.state_dict` copy), so a held ``TrainState``
     is immune to subsequent training steps — the in-memory rollback
     anchor of the divergence guard relies on this.
     """
@@ -76,7 +76,7 @@ class TrainState:
     epoch: int
     #: ``repro.nn.Module.state_dict()`` of the model.
     model_state: Dict[str, np.ndarray]
-    #: ``repro.nn.Optimizer.state_dict()`` of the optimizer.
+    #: ``repro.nn.Adam.state_dict()`` of the optimizer.
     optimizer_state: Dict[str, Any]
     #: RNG streams captured by :func:`capture_rng_states`.
     rng_states: Dict[str, Any]
@@ -84,8 +84,6 @@ class TrainState:
     history: List[Dict[str, Any]]
     #: ``asdict`` of the run's config, for compatibility checking.
     config: Dict[str, Any]
-    #: Optional ``repro.nn.LRScheduler.state_dict()``.
-    scheduler_state: Optional[Dict[str, Any]] = None
     #: Divergence retries consumed so far (survives resume).
     retries: int = 0
     #: Eval-metric snapshot of the newest history row, for manifests.
@@ -139,13 +137,15 @@ def restore_rng_states(
 def check_config_compatible(
     saved: Dict[str, Any],
     current: Dict[str, Any],
-    ignore: Tuple[str, ...] = ("epochs", "extras"),
+    ignore: Tuple[str, ...] = ("epochs",),
 ) -> List[str]:
     """Compare two config dicts; returns human-readable mismatches.
 
     ``epochs`` is ignored by default so a resumed run may extend (or
     shorten) the schedule; everything else must match because it shapes
     the architecture or the data pipeline the weights were trained on.
+    A key on one side only is reported by name, so a checkpoint whose
+    config still carries a since-removed field is refused.
     """
     problems: List[str] = []
     for key in sorted(set(saved) | set(current)):
@@ -287,7 +287,6 @@ class CheckpointManager:
             "config": state.config,
             "rng_states": state.rng_states,
             "optimizer": optimizer_meta,
-            "scheduler": state.scheduler_state,
             "history": state.history,
             "metrics": state.metrics,
         }
@@ -385,7 +384,6 @@ class CheckpointManager:
             rng_states=manifest["rng_states"],
             history=manifest["history"],
             config=manifest["config"],
-            scheduler_state=manifest.get("scheduler"),
             retries=int(manifest.get("retries", 0)),
             metrics=manifest.get("metrics", {}),
         )

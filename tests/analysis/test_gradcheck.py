@@ -106,8 +106,6 @@ class TestLayerRegistry:
         "Linear",
         "Embedding",
         "Dropout",
-        "Sequential",
-        "MLP",
         "Conv1d",
         "TextCNN",
         "LSTMCell",

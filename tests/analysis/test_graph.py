@@ -108,7 +108,7 @@ class TestMutation:
         model, loss = make_loss()
         snap = snapshot_graph(loss)
         loss.backward()
-        nn.SGD(model.parameters(), lr=0.1).step()
+        nn.Adam(model.parameters(), lr=0.1).step()
         report = validate_graph(loss, snapshot=snap)
         codes = {i.code for i in report.errors}
         assert "mutated-tensor" in codes

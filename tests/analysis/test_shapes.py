@@ -104,11 +104,11 @@ class TestLayerSpecs:
         assert "FactorizationMachine" in message
         assert "16" in message and "7" in message
 
-    def test_sequential_blames_the_failing_step(self):
-        layer = nn.Sequential(nn.Linear(4, 6, RNG), nn.Linear(5, 2, RNG))
+    def test_composite_blames_the_failing_child(self):
+        layer = nn.TextCNN(5, 3, 2, RNG)
         with pytest.raises(ShapeError) as err:
-            infer_shapes(layer, spec("B", 4))
-        assert "steps.1" in str(err.value)
+            infer_shapes(layer, spec("B", 6, 4))
+        assert "conv (Conv1d)" in str(err.value)
 
     def test_unimplemented_module_raises_not_implemented(self):
         class Custom(nn.Module):

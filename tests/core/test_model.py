@@ -107,12 +107,12 @@ class TestForward:
         out_b = b(dataset.user_ids[:4], dataset.item_ids[:4], slots, table)
         np.testing.assert_allclose(out_a.rating.data, out_b.rating.data)
 
-    def test_separate_word_embeddings_option(self):
-        dataset = load_dataset("yelpchi", seed=0, scale=0.2)
-        config = fast_config(share_word_embeddings=False)
-        table = ReviewTextTable.build(dataset, max_len=config.max_len)
-        model = RRRE(config, dataset.num_users, dataset.num_items, len(table.vocab))
-        assert model.user_encoder.word_embedding is not model.item_encoder.word_embedding
+    def test_encoders_share_one_word_embedding(self):
+        # Pretrained vectors are loaded into model.word_embedding; both
+        # review encoders must read that one table.
+        model = RRRE(fast_config(), num_users=3, num_items=3, vocab_size=10)
+        assert model.user_encoder.word_embedding is model.word_embedding
+        assert model.item_encoder.word_embedding is model.word_embedding
 
 
 class TestEncoders:

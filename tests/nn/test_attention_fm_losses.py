@@ -164,21 +164,3 @@ class TestLosses:
     def test_cross_entropy_shape_validation(self):
         with pytest.raises(ValueError):
             nn.cross_entropy_loss(nn.Tensor(np.zeros(3)), np.array([0]))
-
-    def test_bce_matches_formula(self):
-        p = nn.Tensor(np.array([0.9, 0.1]))
-        labels = np.array([1.0, 0.0])
-        expected = -(np.log(0.9) + np.log(0.9)) / 2
-        assert nn.binary_cross_entropy_loss(p, labels).item() == pytest.approx(expected)
-
-    def test_bce_safe_at_extremes(self):
-        p = nn.Tensor(np.array([0.0, 1.0]))
-        loss = nn.binary_cross_entropy_loss(p, np.array([1.0, 0.0]))
-        assert np.isfinite(loss.item())
-
-    def test_l2_penalty(self, rng):
-        params = [nn.Parameter(np.array([3.0, 4.0])), nn.Parameter(np.array([1.0]))]
-        assert nn.l2_penalty(params).item() == pytest.approx(26.0)
-
-    def test_l2_penalty_empty(self):
-        assert nn.l2_penalty([]).item() == 0.0

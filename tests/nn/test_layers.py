@@ -1,4 +1,4 @@
-"""Tests for Linear, Embedding, Dropout, Sequential, MLP and Module base."""
+"""Tests for Linear, Embedding, Dropout and Module base."""
 
 import numpy as np
 import pytest
@@ -50,6 +50,23 @@ class TestLinear:
         names = dict(layer.named_parameters())
         assert set(names) == {"weight", "bias"}
 
+    def test_two_layers_learn_xor(self, rng):
+        # End-to-end sanity: gradient descent actually fits a tiny task.
+        x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
+        y = np.array([0.0, 1.0, 1.0, 0.0])
+        hidden, out = nn.Linear(2, 8, rng), nn.Linear(8, 1, rng)
+
+        def predict():
+            return F.squeeze(out(F.tanh(hidden(nn.Tensor(x)))), axis=1)
+
+        opt = nn.Adam(hidden.parameters() + out.parameters(), lr=0.05)
+        for _ in range(300):
+            opt.zero_grad()
+            loss = nn.mse_loss(predict(), y)
+            loss.backward()
+            opt.step()
+        assert np.abs(predict().data - y).max() < 0.2
+
 
 class TestEmbedding:
     def test_lookup_shape(self, rng):
@@ -83,11 +100,6 @@ class TestEmbedding:
         emb.load_pretrained(vectors)
         np.testing.assert_allclose(emb.weight.data, vectors)
 
-    def test_load_pretrained_freeze(self, rng):
-        emb = nn.Embedding(4, 2, rng)
-        emb.load_pretrained(np.zeros((4, 2)), freeze=True)
-        assert not emb.weight.requires_grad
-
     def test_load_pretrained_bad_shape_raises(self, rng):
         emb = nn.Embedding(4, 2, rng)
         with pytest.raises(ValueError):
@@ -114,37 +126,6 @@ class TestDropoutLayer:
     def test_invalid_rate(self, rng):
         with pytest.raises(ValueError):
             nn.Dropout(1.5, rng)
-
-
-class TestSequentialAndMLP:
-    def test_sequential_composes(self, rng):
-        model = nn.Sequential(nn.Linear(4, 8, rng), F.relu, nn.Linear(8, 2, rng))
-        out = model(nn.Tensor(rng.normal(size=(3, 4))))
-        assert out.shape == (3, 2)
-
-    def test_mlp_shapes(self, rng):
-        mlp = nn.MLP([6, 12, 4, 1], rng)
-        out = mlp(nn.Tensor(rng.normal(size=(5, 6))))
-        assert out.shape == (5, 1)
-
-    def test_mlp_too_few_sizes_raises(self, rng):
-        with pytest.raises(ValueError):
-            nn.MLP([6], rng)
-
-    def test_mlp_learns_xor(self, rng):
-        # End-to-end sanity: gradient descent actually fits a tiny task.
-        x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
-        y = np.array([0.0, 1.0, 1.0, 0.0])
-        mlp = nn.MLP([2, 8, 1], rng, activation=F.tanh)
-        opt = nn.Adam(mlp.parameters(), lr=0.05)
-        for _ in range(300):
-            opt.zero_grad()
-            pred = F.squeeze(mlp(nn.Tensor(x)), axis=1)
-            loss = nn.mse_loss(pred, y)
-            loss.backward()
-            opt.step()
-        final = F.squeeze(mlp(nn.Tensor(x)), axis=1).data
-        assert np.abs(final - y).max() < 0.2
 
 
 class TestModuleBase:

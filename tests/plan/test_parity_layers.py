@@ -61,8 +61,8 @@ def test_layer_parity(name, reference_layers):
 
 def test_registry_covers_all_layers():
     # The parity sweep above is only meaningful if it really spans the
-    # substrate: 14 layers, including every fused kind.
-    assert len(LAYER_CASES) == 14
+    # substrate: 12 layers, including every fused kind.
+    assert len(LAYER_CASES) == 12
     assert FUSED < set(LAYER_CASES)
 
 

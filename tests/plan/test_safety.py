@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import snapshot_graph
-from repro.nn import SGD, BiLSTM, PlanSafetyError, Tensor
+from repro.nn import Adam, BiLSTM, PlanSafetyError, Tensor
 from repro.nn import functional as F
 
 
@@ -28,7 +28,7 @@ def _bilstm(seed=0, B=4, L=5, D=3, H=4):
 class TestVersionConflicts:
     def test_optimizer_step_before_backward_raises(self):
         layer, x = _bilstm()
-        opt = SGD(layer.parameters(), lr=0.1)
+        opt = Adam(layer.parameters(), lr=0.1)
         # First round populates gradients legitimately.
         F.sum(layer(x)).backward()
         # Second forward, then the optimizer fires too early: the
@@ -111,7 +111,7 @@ class TestGraphValidatorAgreement:
         # backward -> step -> next forward never trips the detectors:
         # the version bumps land before the next capture, not after.
         layer, x = _bilstm()
-        opt = SGD(layer.parameters(), lr=0.05)
+        opt = Adam(layer.parameters(), lr=0.05)
         losses = []
         for _ in range(3):
             opt.zero_grad()

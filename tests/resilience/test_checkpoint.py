@@ -1,10 +1,12 @@
 """Unit tests for TrainState persistence: atomicity, rotation, fallback."""
 
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
+from repro.core import RRREConfig
 from repro.resilience import (
     CheckpointCorrupt,
     CheckpointError,
@@ -76,6 +78,19 @@ class TestRoundTrip:
         assert len(manifest["sha256"]) == 64
         assert manifest["payload"] == "ckpt-000002.npz"
         assert manifest["payload_bytes"] > 0
+
+    def test_manifest_with_scheduler_key_loads(self, tmp_path):
+        # Manifests written before the scheduler state was dropped carry
+        # ``"scheduler": null``; the key is ignored, not an error.
+        manager = CheckpointManager(tmp_path, fsync=False)
+        manifest_path = manager.save(make_state(epoch=4))
+        manifest = json.loads(manifest_path.read_text())
+        assert "scheduler" not in manifest
+        manifest["scheduler"] = None
+        manifest_path.write_text(json.dumps(manifest))
+        loaded = manager.load(manifest_path)
+        assert loaded.epoch == 4
+        assert loaded.optimizer_state["hyper"]["step_count"] == 7
 
 
 class TestRetention:
@@ -177,3 +192,11 @@ class TestConfigCompatibility:
             {"encoder": "bilstm", "epochs": 3}, {"encoder": "cnn", "epochs": 3}
         )
         assert problems and "encoder" in problems[0]
+        # Every checkpoint written while RRREConfig still had these two
+        # fields saved them in its config; such a checkpoint is refused.
+        current = asdict(RRREConfig())
+        saved = dict(current, share_word_embeddings=True, extras={})
+        assert check_config_compatible(saved, current) == [
+            "config key 'extras' missing from current config",
+            "config key 'share_word_embeddings' missing from current config",
+        ]

@@ -17,6 +17,8 @@ PACKAGES = [
     "repro.eval",
     "repro.analysis",
     "repro.serve",
+    "repro.obs",
+    "repro.resilience",
 ]
 
 
