@@ -7,7 +7,7 @@ unsupervised REV2 baseline survives a paired bootstrap.
 
 from conftest import run_once
 
-from repro.baselines import REV2, RRREReliability
+from repro.baselines import REV2, RRREAdapter
 from repro.data import load_dataset, train_test_split
 from repro.eval import bench_rrre_config
 from repro.metrics import (
@@ -21,7 +21,7 @@ from repro.metrics import (
 def evaluate(scale, epochs, seed=0):
     dataset = load_dataset("yelpchi", seed=seed, scale=scale)
     train, test = train_test_split(dataset, seed=seed)
-    rrre = RRREReliability(bench_rrre_config(epochs=epochs, seed=seed))
+    rrre = RRREAdapter(bench_rrre_config(epochs=epochs, seed=seed))
     rrre.fit(dataset, train)
     rev2 = REV2().fit(dataset, train)
     scores = rrre.score_subset(test)

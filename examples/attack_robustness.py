@@ -9,7 +9,7 @@ the paper's core claim: learning from fake ratings hurts, and the joint
 reliability task prevents it.
 """
 
-from repro.baselines import PMF, RRRERating
+from repro.baselines import PMF, RRREAdapter
 from repro.core import fast_config
 from repro.data import PlatformConfig, generate_platform, train_test_split
 from repro.metrics import biased_rmse
@@ -33,8 +33,8 @@ def run_once(fake_fraction: float, seed: int = 5) -> dict:
     results = {}
     for name, model in (
         ("PMF", PMF(epochs=20, seed=seed)),
-        ("RRRE-", RRRERating(fast_config(epochs=8, seed=seed), biased=False)),
-        ("RRRE", RRRERating(fast_config(epochs=8, seed=seed))),
+        ("RRRE-", RRREAdapter(fast_config(epochs=8, seed=seed), biased=False)),
+        ("RRRE", RRREAdapter(fast_config(epochs=8, seed=seed))),
     ):
         model.fit(dataset, train)
         results[name] = biased_rmse(model.predict_subset(test), test.ratings, test.labels)

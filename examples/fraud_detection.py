@@ -10,7 +10,7 @@ each method finds most suspicious.
 
 import numpy as np
 
-from repro.baselines import ICWSM13, REV2, RRREReliability, SpEaglePlus
+from repro.baselines import ICWSM13, REV2, RRREAdapter, SpEaglePlus
 from repro.core import fast_config
 from repro.data import load_dataset, train_test_split
 from repro.metrics import auc, average_precision, ndcg_at_k
@@ -26,7 +26,7 @@ def main() -> None:
         ICWSM13(),
         SpEaglePlus(seed=3),
         REV2(),
-        RRREReliability(fast_config(epochs=10, seed=3)),
+        RRREAdapter(fast_config(epochs=10, seed=3)),
     ]
     scored = {}
     print(f"{'model':10s} {'AUC':>8s} {'AP':>8s} {'NDCG@50':>9s}")

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
 """Lint docs against code: every reference must resolve.
 
-Scans ``README.md`` and ``docs/*.md`` for three kinds of references and
-verifies each against the actual repository, so documentation cannot rot
-silently:
+Scans ``README.md``, ``DESIGN.md``, ``EXPERIMENTS.md`` and ``docs/*.md``
+for three kinds of references and verifies each against the actual
+repository, so documentation cannot rot silently:
 
 1. **Dotted ``repro...`` names** inside backticks — ``repro.core.RRRETrainer``,
    ``repro.data.load_dataset(...)``.  The longest importable module
@@ -36,12 +36,14 @@ from typing import Iterable, List, Tuple
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Markdown files scanned, relative to the repository root.
-DOC_GLOBS = ("README.md", "docs/*.md")
+DOC_GLOBS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", "docs/*.md")
 
 #: Documents that MUST exist — a rename or deletion fails the lint
 #: instead of silently shrinking coverage.
 REQUIRED_DOCS = (
     "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
     "docs/architecture.md",
     "docs/nn_api.md",
     "docs/observability.md",

@@ -373,6 +373,21 @@ def run_one(
         print(f"wrote {report_json}")
 
 
+def run_all(scale: float, seeds: int, epochs: int) -> None:
+    """Every experiment, with Tables III-VI from one set of fits."""
+    from . import eval as experiments
+
+    seeded = experiments.run_tables3to6(
+        seeds=tuple(range(seeds)), scale=scale, epochs=epochs
+    )
+    for name in sorted(EXPERIMENTS):
+        if name in seeded:
+            print(seeded[name].rendered)
+            print()
+        else:
+            run_one(name, scale, seeds, epochs)
+
+
 def run_train(
     dataset_name: str,
     scale: float,
@@ -790,12 +805,13 @@ def main(argv=None) -> int:
         )
     if args.experiment == "serve":
         return run_serve(args)
-    names = sorted(EXPERIMENTS) if args.experiment == "all" else [args.experiment]
-    if args.report_json and len(names) > 1:
-        print("--report-json needs a single experiment (not 'all')", file=sys.stderr)
-        return 2
-    for name in names:
-        run_one(name, args.scale, args.seeds, args.epochs, report_json=args.report_json)
+    if args.experiment == "all":
+        if args.report_json:
+            print("--report-json needs a single experiment (not 'all')", file=sys.stderr)
+            return 2
+        run_all(args.scale, args.seeds, args.epochs)
+        return 0
+    run_one(args.experiment, args.scale, args.seeds, args.epochs, report_json=args.report_json)
     return 0
 
 

@@ -1,11 +1,13 @@
 """``repro.baselines`` — every comparison method from the paper.
 
 Rating prediction (Table III): :class:`PMF`, :class:`DeepCoNN`,
-:class:`NARRE`, :class:`DER`, plus :class:`RRRERating` adapters for
-RRRE / RRRE⁻.
+:class:`NARRE`, :class:`DER`.
 
 Reliability scoring (Tables IV-VI): :class:`ICWSM13`,
-:class:`SpEaglePlus`, :class:`REV2`, plus :class:`RRREReliability`.
+:class:`SpEaglePlus`, :class:`REV2`.
+
+:class:`RRREAdapter` is both: one fit serves Tables III-VI
+(``biased=False`` gives RRRE⁻).
 """
 
 from .base import RatingModel, ReliabilityModel
@@ -17,7 +19,7 @@ from .icwsm13 import ICWSM13, LogisticRegression
 from .narre import NARRE
 from .pmf import PMF
 from .rev2 import REV2
-from .rrre_adapters import RRRERating, RRREReliability
+from .rrre_adapters import RRREAdapter
 from .speagle import SpEaglePlus
 from .svdpp import SVDpp, TrustWeightedSVDpp
 
@@ -31,9 +33,8 @@ __all__ = [
     "NARRE",
     "PMF",
     "REV2",
+    "RRREAdapter",
     "SVDpp",
-    "RRRERating",
-    "RRREReliability",
     "RatingModel",
     "ReliabilityModel",
     "SpEaglePlus",

@@ -1,8 +1,9 @@
-"""Adapters exposing RRRE (and the RRRE⁻ ablation) through the baseline
-interfaces, so the experiment harness treats every model uniformly."""
+"""RRRE (and the RRRE⁻ ablation) through the baseline interfaces, so the
+experiment harness treats every model uniformly."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -12,14 +13,16 @@ from ..data import ReviewDataset, ReviewSubset
 from .base import RatingModel, ReliabilityModel
 
 
-class RRRERating(RatingModel):
-    """RRRE as a Table III rating model (``biased=False`` gives RRRE⁻)."""
+class RRREAdapter(RatingModel, ReliabilityModel):
+    """RRRE as a Table III rating model and a Table IV-VI reliability
+    scorer from one fit (``biased=False`` gives RRRE⁻).
+
+    The caller's ``config`` is left as it is: the model trains on a copy
+    whose ``biased_loss`` is ``biased``.
+    """
 
     def __init__(self, config: Optional[RRREConfig] = None, biased: bool = True) -> None:
-        if config is None:
-            config = fast_config()
-        self.config = config
-        self.config.biased_loss = biased
+        self.config = replace(config or fast_config(), biased_loss=biased)
         self.trainer = RRRETrainer(self.config)
         self.name = "RRRE" if biased else "RRRE-"
 
@@ -28,32 +31,13 @@ class RRRERating(RatingModel):
         dataset: ReviewDataset,
         train: ReviewSubset,
         test: Optional[ReviewSubset] = None,
-    ) -> "RRRERating":
+    ) -> "RRREAdapter":
         self.trainer.fit(dataset, train, test=None)
         return self
 
     def predict_subset(self, subset: ReviewSubset) -> np.ndarray:
         ratings, _ = self.trainer.predict_subset(subset)
         return ratings
-
-
-class RRREReliability(ReliabilityModel):
-    """RRRE as a Table IV-VI reliability scorer."""
-
-    name = "RRRE"
-
-    def __init__(self, config: Optional[RRREConfig] = None) -> None:
-        self.config = config or fast_config()
-        self.trainer = RRRETrainer(self.config)
-
-    def fit(
-        self,
-        dataset: ReviewDataset,
-        train: ReviewSubset,
-        test: Optional[ReviewSubset] = None,
-    ) -> "RRREReliability":
-        self.trainer.fit(dataset, train, test=None)
-        return self
 
     def score_subset(self, subset: ReviewSubset) -> np.ndarray:
         _, reliabilities = self.trainer.predict_subset(subset)

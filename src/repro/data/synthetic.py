@@ -131,7 +131,13 @@ class PlatformConfig:
 
 @dataclass
 class PlatformTruth:
-    """Latent ground truth of a generated platform (for tests/analysis)."""
+    """Latent ground truth of a generated platform (for tests/analysis).
+
+    Every field is indexed by the dataset's ids: ``item_quality`` and
+    ``item_aspects`` per item, ``user_bias`` and ``fraud_user_flags``
+    per user (``user_bias`` is NaN for fraud accounts, which have none),
+    and ``campaign_targets`` lists item ids, one per campaign.
+    """
 
     item_quality: np.ndarray
     item_aspects: np.ndarray
@@ -247,14 +253,18 @@ def generate_platform(config: PlatformConfig, return_truth: bool = False):
             rows.append((fraud_offset + account, i, rating, BENIGN, text, timestamp))
 
     # Compact ids (drop zero-degree users/items) ------------------------------
-    dataset, fraud_flags, kept_items = _compact(rows, config, writer, fraud_offset, rng)
+    dataset, kept_users, kept_items = _compact(rows, config, writer, rng)
     if return_truth:
+        fraud_flags = kept_users >= fraud_offset
+        dataset_bias = np.full(len(kept_users), np.nan)
+        dataset_bias[~fraud_flags] = user_bias[kept_users[~fraud_flags]]
         truth = PlatformTruth(
             item_quality=item_quality[kept_items],
             item_aspects=item_aspects[kept_items],
-            user_bias=user_bias,
+            user_bias=dataset_bias,
             fraud_user_flags=fraud_flags,
-            campaign_targets=campaign_targets,
+            # Every target got a fake review, so every target is kept.
+            campaign_targets=np.searchsorted(kept_items, campaign_targets).tolist(),
         )
         return dataset, truth
     return dataset
@@ -305,8 +315,12 @@ def _aspect_mentions(
     return mentions
 
 
-def _compact(rows, config, writer, fraud_offset, rng):
-    """Renumber users/items to contiguous ids; build readable names."""
+def _compact(rows, config, writer, rng):
+    """Renumber users/items to contiguous ids; build readable names.
+
+    Returns the dataset and the raw ids of its users and items, in
+    dataset-id order.
+    """
     used_users = sorted({row[0] for row in rows})
     used_items = sorted({row[1] for row in rows})
     user_map = {old: new for new, old in enumerate(used_users)}
@@ -321,9 +335,7 @@ def _compact(rows, config, writer, fraud_offset, rng):
     dataset = ReviewDataset(
         reviews, name=config.name, user_names=user_names, item_names=item_names
     )
-    fraud_flags = np.array([old >= fraud_offset for old in used_users], dtype=bool)
-    kept_items = np.array(used_items, dtype=np.int64)
-    return dataset, fraud_flags, kept_items
+    return dataset, np.array(used_users, dtype=np.int64), np.array(used_items, dtype=np.int64)
 
 
 def _zipf_weights(n: int, alpha: float, rng: np.random.Generator) -> np.ndarray:

@@ -4,6 +4,9 @@ Every ``run_*`` function regenerates one table or figure of the paper on
 the simulated datasets and returns an :class:`ExperimentReport` whose
 ``rendered`` field is the printable artifact and whose ``data`` field
 holds the raw numbers (consumed by the test suite and EXPERIMENTS.md).
+Tables III-VI are views of :func:`repro.eval.protocol.run_seeds` rows,
+and their ``data["rows"]`` keeps the per-seed numbers; the figures and
+ablations sweep one ``bench_rrre_config`` field each.
 
 Scale knobs: all functions accept ``scale`` (dataset size multiplier),
 ``seeds`` and ``epochs`` so the same code serves quick benchmark runs
@@ -14,26 +17,15 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, NamedTuple, Sequence
 
 import numpy as np
 
-from ..baselines import (
-    DER,
-    ICWSM13,
-    NARRE,
-    PMF,
-    REV2,
-    DeepCoNN,
-    RRRERating,
-    RRREReliability,
-    SpEaglePlus,
-)
+from ..baselines import DER, ICWSM13, NARRE, PMF, REV2, DeepCoNN, RRREAdapter, SpEaglePlus
 from ..core import RRRETrainer, explain_item, recommend_items
 from ..core.config import bench_rrre_config
 from ..data import DATASET_NAMES, PAPER_STATISTICS, load_dataset, train_test_split
-from ..metrics import auc, average_precision, biased_rmse, ndcg_at_k
-from .protocol import run_protocol
+from .protocol import NDCG_KS, Row, run_seeds, seed_mean
 from .reporting import format_series, format_table
 
 
@@ -78,33 +70,104 @@ def run_table2(scale: float = 0.5, seed: int = 0) -> ExperimentReport:
 
 
 # ---------------------------------------------------------------------------
-# Table III — bRMSE of rating prediction
+# Tables III-VI — every seeded table is a view of run_seeds rows
 # ---------------------------------------------------------------------------
 
+#: The catalog each NDCG@k table ranks on (Table V: yelpchi; VI: cds).
+NDCG_TABLES = {"table5": "yelpchi", "table6": "cds"}
 
-def _rating_evaluator(factory: Callable[[int], object]):
-    def evaluate(dataset, train, test, seed, _factory=factory):
-        model = _factory(seed)
-        model.fit(dataset, train)
-        predictions = model.predict_subset(test)
-        return {"brmse": biased_rmse(predictions, test.ratings, test.labels)}
 
-    return evaluate
+def _rrre(epochs: int, biased: bool = True) -> Callable[[int], RRREAdapter]:
+    return lambda seed: RRREAdapter(bench_rrre_config(epochs=epochs, seed=seed), biased=biased)
 
 
 def rating_model_factories(epochs: int = 14) -> Dict[str, Callable]:
     """Factories for every Table III column."""
     neural_epochs = max(4, epochs // 2)
     return {
-        "RRRE": lambda seed: RRRERating(bench_rrre_config(epochs=epochs, seed=seed)),
+        "RRRE": _rrre(epochs),
         "PMF": lambda seed: PMF(epochs=25, seed=seed),
         "DeepCoNN": lambda seed: DeepCoNN(epochs=neural_epochs, seed=seed),
         "NARRE": lambda seed: NARRE(epochs=neural_epochs, seed=seed),
         "DER": lambda seed: DER(epochs=neural_epochs, seed=seed),
-        "RRRE-": lambda seed: RRRERating(
-            bench_rrre_config(epochs=epochs, seed=seed), biased=False
-        ),
+        "RRRE-": _rrre(epochs, biased=False),
     }
+
+
+def reliability_model_factories(epochs: int = 14) -> Dict[str, Callable]:
+    """Factories for every Table IV row (and Table V/VI column)."""
+    return {
+        "ICWSM13": lambda seed: ICWSM13(),
+        "SpEagle+": lambda seed: SpEaglePlus(seed=seed),
+        "REV2": lambda seed: REV2(),
+        "RRRE": _rrre(epochs),
+    }
+
+
+def _select(rows: List[Row], datasets: Sequence[str], models: Sequence[str]) -> List[Row]:
+    """The rows one table is a view of, by dataset, then model, then seed."""
+    picked = [row for row in rows if row["dataset"] in datasets and row["model"] in models]
+    return sorted(picked, key=lambda r: (datasets.index(r["dataset"]), models.index(r["model"])))
+
+
+def _table3(rows: List[Row], datasets: Sequence[str], models: Sequence[str]) -> ExperimentReport:
+    rows = _select(rows, datasets, models)
+    values = {name: {m: seed_mean(rows, name, m, "brmse") for m in models} for name in datasets}
+    rendered = format_table(
+        "Table III — bRMSE of rating prediction (lower is better, * = best)",
+        rows=list(datasets),
+        columns=list(models),
+        values=values,
+        highlight_best="min",
+        best_axis="row",
+    )
+    return ExperimentReport("table3", rendered, {"brmse": values, "rows": rows})
+
+
+def _table4(rows: List[Row], datasets: Sequence[str], models: Sequence[str]) -> ExperimentReport:
+    rows = _select(rows, datasets, models)
+    auc_values = {m: {name: seed_mean(rows, name, m, "auc") for name in datasets} for m in models}
+    ap_values = {m: {name: seed_mean(rows, name, m, "ap") for name in datasets} for m in models}
+    rendered = "\n\n".join(
+        [
+            format_table(
+                "Table IV (left) — AUC of reliability prediction (* = best)",
+                rows=list(models),
+                columns=list(datasets),
+                values=auc_values,
+                highlight_best="max",
+            ),
+            format_table(
+                "Table IV (right) — Average Precision of reliability prediction (* = best)",
+                rows=list(models),
+                columns=list(datasets),
+                values=ap_values,
+                highlight_best="max",
+            ),
+        ]
+    )
+    return ExperimentReport(
+        "table4", rendered, {"auc": auc_values, "ap": ap_values, "rows": rows}
+    )
+
+
+def _ndcg_table(
+    rows: List[Row], dataset_name: str, ks: Sequence[int], models: Sequence[str]
+) -> ExperimentReport:
+    rows = _select(rows, (dataset_name,), models)
+    values = {
+        str(k): {m: seed_mean(rows, dataset_name, m, f"ndcg@{k}") for m in models} for k in ks
+    }
+    table_no = "V" if dataset_name == "yelpchi" else "VI"
+    rendered = format_table(
+        f"Table {table_no} — NDCG@k of reliability ranking on {dataset_name} (* = best)",
+        rows=[str(k) for k in ks],
+        columns=list(models),
+        values=values,
+        highlight_best="max",
+        best_axis="row",
+    )
+    return ExperimentReport(f"table{table_no.lower()}", rendered, {"ndcg": values, "rows": rows})
 
 
 def run_table3(
@@ -115,54 +178,11 @@ def run_table3(
     verbose: bool = False,
 ) -> ExperimentReport:
     """Table III: bRMSE of all rating models across datasets."""
-    factories = rating_model_factories(epochs=epochs)
-    values: Dict[str, Dict[str, float]] = {name: {} for name in datasets}
-    for name in datasets:
-        evaluators = {
-            model: _rating_evaluator(factory) for model, factory in factories.items()
-        }
-        aggregates = run_protocol(
-            name, evaluators, seeds=seeds, scale=scale, verbose=verbose
-        )
-        for model, agg in aggregates.items():
-            values[name][model] = agg.mean("brmse")
-    rendered = format_table(
-        "Table III — bRMSE of rating prediction (lower is better, * = best)",
-        rows=list(datasets),
-        columns=list(factories),
-        values=values,
-        highlight_best="min",
-        best_axis="row",
-    )
-    return ExperimentReport("table3", rendered, {"brmse": values})
-
-
-# ---------------------------------------------------------------------------
-# Table IV — AUC / AP of reliability prediction
-# ---------------------------------------------------------------------------
-
-
-def _reliability_evaluator(factory: Callable[[int], object]):
-    def evaluate(dataset, train, test, seed, _factory=factory):
-        model = _factory(seed)
-        model.fit(dataset, train)
-        scores = model.score_subset(test)
-        return {
-            "auc": auc(scores, test.labels),
-            "ap": average_precision(scores, test.labels),
-        }
-
-    return evaluate
-
-
-def reliability_model_factories(epochs: int = 14) -> Dict[str, Callable]:
-    """Factories for every Table IV row."""
-    return {
-        "ICWSM13": lambda seed: ICWSM13(),
-        "SpEagle+": lambda seed: SpEaglePlus(seed=seed),
-        "REV2": lambda seed: REV2(),
-        "RRRE": lambda seed: RRREReliability(bench_rrre_config(epochs=epochs, seed=seed)),
-    }
+    models = rating_model_factories(epochs=epochs)
+    rows = run_seeds(datasets, models, seeds, scale)
+    if verbose:
+        print(*rows, sep="\n")
+    return _table3(rows, datasets, list(models))
 
 
 def run_table4(
@@ -173,49 +193,16 @@ def run_table4(
     verbose: bool = False,
 ) -> ExperimentReport:
     """Table IV: AUC and Average Precision of reliability scoring."""
-    factories = reliability_model_factories(epochs=epochs)
-    auc_values: Dict[str, Dict[str, float]] = {m: {} for m in factories}
-    ap_values: Dict[str, Dict[str, float]] = {m: {} for m in factories}
-    for name in datasets:
-        evaluators = {
-            model: _reliability_evaluator(factory)
-            for model, factory in factories.items()
-        }
-        aggregates = run_protocol(
-            name, evaluators, seeds=seeds, scale=scale, verbose=verbose
-        )
-        for model, agg in aggregates.items():
-            auc_values[model][name] = agg.mean("auc")
-            ap_values[model][name] = agg.mean("ap")
-    rendered = "\n\n".join(
-        [
-            format_table(
-                "Table IV (left) — AUC of reliability prediction (* = best)",
-                rows=list(factories),
-                columns=list(datasets),
-                values=auc_values,
-                highlight_best="max",
-            ),
-            format_table(
-                "Table IV (right) — Average Precision of reliability prediction (* = best)",
-                rows=list(factories),
-                columns=list(datasets),
-                values=ap_values,
-                highlight_best="max",
-            ),
-        ]
-    )
-    return ExperimentReport("table4", rendered, {"auc": auc_values, "ap": ap_values})
-
-
-# ---------------------------------------------------------------------------
-# Tables V & VI — NDCG@k
-# ---------------------------------------------------------------------------
+    models = reliability_model_factories(epochs=epochs)
+    rows = run_seeds(datasets, models, seeds, scale)
+    if verbose:
+        print(*rows, sep="\n")
+    return _table4(rows, datasets, list(models))
 
 
 def run_ndcg_table(
     dataset_name: str,
-    ks: Sequence[int] = (10, 20, 30, 40, 50, 60, 70, 80, 90, 100),
+    ks: Sequence[int] = NDCG_KS,
     seeds: Sequence[int] = (0, 1, 2),
     scale: float = 0.5,
     epochs: int = 14,
@@ -224,41 +211,51 @@ def run_ndcg_table(
 
     The paper sweeps k = 100..1000 over test pools of 15k-180k reviews;
     at simulator scale the pool is a few hundred, so k is swept over the
-    same *relative* depth (≈2-15 % of the ranking).
+    same *relative* depth (≈2-15 % of the ranking).  Every k must be one
+    of the depths the rows record, :data:`repro.eval.protocol.NDCG_KS`.
     """
-    factories = reliability_model_factories(epochs=epochs)
-    values: Dict[str, Dict[str, float]] = {str(k): {} for k in ks}
-    for seed in seeds:
-        dataset = load_dataset(dataset_name, seed=seed, scale=scale)
-        train, test = train_test_split(dataset, seed=seed)
-        for model_name, factory in factories.items():
-            model = factory(seed)
-            model.fit(dataset, train)
-            scores = model.score_subset(test)
-            for k in ks:
-                key = str(k)
-                values[key].setdefault(model_name, 0.0)
-                values[key][model_name] += ndcg_at_k(scores, test.labels, k) / len(seeds)
-    table_no = "V" if dataset_name == "yelpchi" else "VI"
-    rendered = format_table(
-        f"Table {table_no} — NDCG@k of reliability ranking on {dataset_name} (* = best)",
-        rows=[str(k) for k in ks],
-        columns=list(factories),
-        values=values,
-        highlight_best="max",
-        best_axis="row",
-    )
-    return ExperimentReport(f"table{table_no.lower()}", rendered, {"ndcg": values})
+    unknown = sorted(set(ks) - set(NDCG_KS))
+    if unknown:
+        raise ValueError(f"NDCG@k is recorded for k in {NDCG_KS}, not {unknown}")
+    models = reliability_model_factories(epochs=epochs)
+    rows = run_seeds((dataset_name,), models, seeds, scale)
+    return _ndcg_table(rows, dataset_name, ks, list(models))
 
 
 def run_table5(**kwargs) -> ExperimentReport:
     """Table V: NDCG@k on YelpChi."""
-    return run_ndcg_table("yelpchi", **kwargs)
+    return run_ndcg_table(NDCG_TABLES["table5"], **kwargs)
 
 
 def run_table6(**kwargs) -> ExperimentReport:
     """Table VI: NDCG@k on CDs."""
-    return run_ndcg_table("cds", **kwargs)
+    return run_ndcg_table(NDCG_TABLES["table6"], **kwargs)
+
+
+def run_tables3to6(
+    datasets: Sequence[str] = DATASET_NAMES,
+    seeds: Sequence[int] = (0, 1, 2),
+    scale: float = 0.5,
+    epochs: int = 14,
+) -> Dict[str, ExperimentReport]:
+    """Tables III-VI from one :func:`run_seeds` call over all their models.
+
+    RRRE and RRRE⁻ are fitted once per (catalog, seed) for all four
+    tables.  Returns ``{"table3": ..., "table4": ...}`` plus ``"table5"``
+    and ``"table6"`` when their catalog is among ``datasets``; each
+    report equals the one its own ``run_table*`` gives.
+    """
+    rating = rating_model_factories(epochs=epochs)
+    reliability = reliability_model_factories(epochs=epochs)
+    rows = run_seeds(datasets, {**rating, **reliability}, seeds, scale)
+    reports = {
+        "table3": _table3(rows, datasets, list(rating)),
+        "table4": _table4(rows, datasets, list(reliability)),
+    }
+    for table, name in NDCG_TABLES.items():
+        if name in datasets:
+            reports[table] = _ndcg_table(rows, name, NDCG_KS, list(reliability))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +343,58 @@ def run_table8(
 
 
 # ---------------------------------------------------------------------------
-# Figure 2 — review embedding size k
+# Figures 2-4 and the ablations — sweeps of one bench_rrre_config field
 # ---------------------------------------------------------------------------
+
+
+class _Fit(NamedTuple):
+    """One RRRE fit of a sweep: test metrics, per-epoch history, fit time."""
+
+    metrics: Dict[str, float]
+    history: list
+    seconds: float
+
+
+def _sweep(
+    field_name: str,
+    values: Sequence,
+    seeds: Sequence[int],
+    scale: float,
+    epochs: int,
+    curves: bool = False,
+    **fixed,
+) -> List[List[_Fit]]:
+    """Fit RRRE on yelpchi once per (value of config ``field_name``, seed).
+
+    Returns ``fits[j][s]`` for ``values[j]`` and ``seeds[s]``; ``fixed``
+    sets further config fields for every fit.  ``curves`` passes the
+    test split to ``fit``, which then scores it after every epoch
+    (``history``, Fig. 2); ``seconds`` times ``fit`` (Figs. 3 and 4).
+    """
+    fits: List[List[_Fit]] = [[] for _ in values]
+    for seed in seeds:
+        dataset = load_dataset("yelpchi", seed=seed, scale=scale)
+        train, test = train_test_split(dataset, seed=seed)
+        for runs, value in zip(fits, values):
+            config = bench_rrre_config(epochs=epochs, seed=seed, **fixed, **{field_name: value})
+            start = time.perf_counter()
+            trainer = RRRETrainer(config).fit(dataset, train, test if curves else None)
+            seconds = time.perf_counter() - start
+            runs.append(_Fit(trainer.evaluate(test), trainer.history, seconds))
+    return fits
+
+
+def _seed_means(
+    field_name: str, values: Sequence[str], scale: float, seeds: Sequence[int], epochs: int
+) -> Dict[str, Dict[str, float]]:
+    """bRMSE and AUC per value of ``field_name``, each a mean over seeds."""
+    return {
+        value: {
+            "brmse": sum(run.metrics["brmse"] for run in runs) / len(seeds),
+            "auc": sum(run.metrics.get("auc", 0.0) for run in runs) / len(seeds),
+        }
+        for value, runs in zip(values, _sweep(field_name, values, seeds, scale, epochs))
+    }
 
 
 def run_fig2(
@@ -357,15 +404,12 @@ def run_fig2(
     epochs: int = 10,
 ) -> ExperimentReport:
     """Fig. 2: training curves (bRMSE and AUC per epoch) per embedding size."""
-    dataset = load_dataset("yelpchi", seed=seed, scale=scale)
-    train, test = train_test_split(dataset, seed=seed)
+    fits = _sweep("review_dim", [int(k) for k in k_values], (seed,), scale, epochs, curves=True)
     brmse_curves: Dict[str, List[float]] = {}
     auc_curves: Dict[str, List[float]] = {}
-    for k in k_values:
-        config = bench_rrre_config(review_dim=int(k), epochs=epochs, seed=seed)
-        trainer = RRRETrainer(config).fit(dataset, train, test)
-        brmse_curves[f"k={k}"] = [r.eval_metrics["brmse"] for r in trainer.history]
-        auc_curves[f"k={k}"] = [r.eval_metrics.get("auc", 0.0) for r in trainer.history]
+    for k, (run,) in zip(k_values, fits):
+        brmse_curves[f"k={k}"] = [r.eval_metrics["brmse"] for r in run.history]
+        auc_curves[f"k={k}"] = [r.eval_metrics.get("auc", 0.0) for r in run.history]
     epochs_axis = list(range(1, epochs + 1))
     rendered = "\n\n".join(
         [
@@ -388,11 +432,6 @@ def run_fig2(
     )
 
 
-# ---------------------------------------------------------------------------
-# Figures 3 & 4 — input sizes s_u and s_i
-# ---------------------------------------------------------------------------
-
-
 def run_input_size_sweep(
     which: str,
     sizes: Sequence[int],
@@ -404,28 +443,19 @@ def run_input_size_sweep(
     """Sweep s_u (Fig. 3) or s_i (Fig. 4): final metrics + training time."""
     if which not in ("s_u", "s_i"):
         raise ValueError(f"which must be 's_u' or 's_i', got {which!r}")
-    dataset = load_dataset("yelpchi", seed=seed, scale=scale)
-    train, test = train_test_split(dataset, seed=seed)
-    brmse_list: List[float] = []
-    auc_list: List[float] = []
-    seconds_list: List[float] = []
-    for size in sizes:
-        kwargs = {"s_u": int(size), "s_i": fixed} if which == "s_u" else {
-            "s_u": fixed,
-            "s_i": int(size),
-        }
-        config = bench_rrre_config(epochs=epochs, seed=seed, **kwargs)
-        start = time.perf_counter()
-        trainer = RRRETrainer(config).fit(dataset, train)
-        seconds = time.perf_counter() - start
-        metrics = trainer.evaluate(test)
-        brmse_list.append(metrics["brmse"])
-        auc_list.append(metrics.get("auc", 0.0))
-        seconds_list.append(seconds)
+    other = "s_i" if which == "s_u" else "s_u"
+    fits = [
+        run
+        for (run,) in _sweep(
+            which, [int(size) for size in sizes], (seed,), scale, epochs, **{other: fixed}
+        )
+    ]
+    brmse_list = [run.metrics["brmse"] for run in fits]
+    auc_list = [run.metrics.get("auc", 0.0) for run in fits]
+    seconds_list = [run.seconds for run in fits]
     fig_no = "3" if which == "s_u" else "4"
     rendered = format_series(
-        f"Fig. {fig_no} — effect of input size {which} (fixed "
-        f"{'s_i' if which == 's_u' else 's_u'}={fixed})",
+        f"Fig. {fig_no} — effect of input size {which} (fixed {other}={fixed})",
         which,
         list(sizes),
         {"bRMSE": brmse_list, "AUC": auc_list, "seconds": seconds_list},
@@ -460,11 +490,6 @@ def run_fig4(
     return run_input_size_sweep("s_i", sizes, fixed_s_u, **kwargs)
 
 
-# ---------------------------------------------------------------------------
-# Ablations beyond the paper
-# ---------------------------------------------------------------------------
-
-
 def run_ablation_encoder(
     encoders: Sequence[str] = ("bilstm", "cnn", "mean"),
     scale: float = 0.5,
@@ -472,21 +497,7 @@ def run_ablation_encoder(
     epochs: int = 12,
 ) -> ExperimentReport:
     """Swap the review encoder: BiLSTM (paper) vs CNN vs mean pooling."""
-    values: Dict[str, Dict[str, float]] = {}
-    for encoder in encoders:
-        brmse_sum, auc_sum = 0.0, 0.0
-        for seed in seeds:
-            dataset = load_dataset("yelpchi", seed=seed, scale=scale)
-            train, test = train_test_split(dataset, seed=seed)
-            config = bench_rrre_config(encoder=encoder, epochs=epochs, seed=seed)
-            trainer = RRRETrainer(config).fit(dataset, train)
-            metrics = trainer.evaluate(test)
-            brmse_sum += metrics["brmse"]
-            auc_sum += metrics.get("auc", 0.0)
-        values[encoder] = {
-            "brmse": brmse_sum / len(seeds),
-            "auc": auc_sum / len(seeds),
-        }
+    values = _seed_means("encoder", encoders, scale, seeds, epochs)
     rendered = format_table(
         "Ablation — review encoder (yelpchi)",
         rows=list(encoders),
@@ -502,21 +513,7 @@ def run_ablation_attention(
     epochs: int = 12,
 ) -> ExperimentReport:
     """Fraud-attention vs uniform mean pooling in UserNet/ItemNet."""
-    values: Dict[str, Dict[str, float]] = {}
-    for pooling in ("attention", "mean"):
-        brmse_sum, auc_sum = 0.0, 0.0
-        for seed in seeds:
-            dataset = load_dataset("yelpchi", seed=seed, scale=scale)
-            train, test = train_test_split(dataset, seed=seed)
-            config = bench_rrre_config(pooling=pooling, epochs=epochs, seed=seed)
-            trainer = RRRETrainer(config).fit(dataset, train)
-            metrics = trainer.evaluate(test)
-            brmse_sum += metrics["brmse"]
-            auc_sum += metrics.get("auc", 0.0)
-        values[pooling] = {
-            "brmse": brmse_sum / len(seeds),
-            "auc": auc_sum / len(seeds),
-        }
+    values = _seed_means("pooling", ("attention", "mean"), scale, seeds, epochs)
     rendered = format_table(
         "Ablation — review pooling (fraud-attention vs mean), yelpchi",
         rows=["attention", "mean"],
@@ -533,15 +530,11 @@ def run_ablation_lambda(
     epochs: int = 12,
 ) -> ExperimentReport:
     """Sweep the joint-loss weight λ of Eq. 15."""
-    dataset = load_dataset("yelpchi", seed=seed, scale=scale)
-    train, test = train_test_split(dataset, seed=seed)
-    brmse_list, auc_list = [], []
-    for lam in lambdas:
-        config = bench_rrre_config(lambda_weight=float(lam), epochs=epochs, seed=seed)
-        trainer = RRRETrainer(config).fit(dataset, train)
-        metrics = trainer.evaluate(test)
-        brmse_list.append(metrics["brmse"])
-        auc_list.append(metrics.get("auc", float("nan")))
+    fits = [
+        run for (run,) in _sweep("lambda_weight", [float(lam) for lam in lambdas], (seed,), scale, epochs)
+    ]
+    brmse_list = [run.metrics["brmse"] for run in fits]
+    auc_list = [run.metrics.get("auc", float("nan")) for run in fits]
     rendered = format_series(
         "Ablation — joint loss weight λ (Eq. 15), yelpchi",
         "lambda",

@@ -9,10 +9,10 @@ from __future__ import annotations
 import numpy as np
 
 
-def xavier_uniform(shape: tuple, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    """Glorot/Xavier uniform: U(-a, a) with a = gain * sqrt(6/(fan_in+fan_out))."""
+def xavier_uniform(shape: tuple, rng: np.random.Generator) -> np.ndarray:
+    """Glorot/Xavier uniform: U(-a, a) with a = sqrt(6/(fan_in+fan_out))."""
     fan_in, fan_out = _fans(shape)
-    bound = gain * np.sqrt(6.0 / (fan_in + fan_out))
+    bound = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-bound, bound, size=shape)
 
 

@@ -33,7 +33,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
@@ -134,22 +134,23 @@ def restore_rng_states(
         rng.bit_generator.state = state
 
 
-def check_config_compatible(
-    saved: Dict[str, Any],
-    current: Dict[str, Any],
-    ignore: Tuple[str, ...] = ("epochs",),
-) -> List[str]:
+#: Config keys a resumed run may change.
+RESUMABLE_CONFIG_KEYS = ("epochs",)
+
+
+def check_config_compatible(saved: Dict[str, Any], current: Dict[str, Any]) -> List[str]:
     """Compare two config dicts; returns human-readable mismatches.
 
-    ``epochs`` is ignored by default so a resumed run may extend (or
-    shorten) the schedule; everything else must match because it shapes
-    the architecture or the data pipeline the weights were trained on.
+    ``epochs`` (:data:`RESUMABLE_CONFIG_KEYS`) is ignored so a resumed
+    run may extend (or shorten) the schedule; everything else must match
+    because it shapes the architecture or the data pipeline the weights
+    were trained on.
     A key on one side only is reported by name, so a checkpoint whose
     config still carries a since-removed field is refused.
     """
     problems: List[str] = []
     for key in sorted(set(saved) | set(current)):
-        if key in ignore:
+        if key in RESUMABLE_CONFIG_KEYS:
             continue
         if key not in saved:
             problems.append(f"config key {key!r} missing from checkpoint")

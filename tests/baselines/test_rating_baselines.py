@@ -1,9 +1,11 @@
 """Tests for the rating baselines: PMF, DeepCoNN, NARRE, DER."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from repro.baselines import DER, NARRE, PMF, DeepCoNN, RRRERating
+from repro.baselines import DER, NARRE, PMF, DeepCoNN, RRREAdapter
 from repro.core import fast_config
 from repro.data import load_dataset, train_test_split
 from repro.metrics import biased_rmse, rmse
@@ -87,16 +89,23 @@ class TestNeuralBaselines:
 
 class TestRRREAblation:
     def test_rrre_vs_minus_names(self):
-        assert RRRERating(fast_config()).name == "RRRE"
-        assert RRRERating(fast_config(), biased=False).name == "RRRE-"
+        assert RRREAdapter(fast_config()).name == "RRRE"
+        assert RRREAdapter(fast_config(), biased=False).name == "RRRE-"
+
+    def test_caller_config_left_unchanged(self):
+        config = fast_config()
+        before = asdict(config)
+        minus = RRREAdapter(config, biased=False)
+        assert asdict(config) == before
+        assert minus.config.biased_loss is False and config.biased_loss is True
 
     def test_biased_loss_helps_under_attack(self, data):
         # The paper's core claim at small scale: RRRE <= RRRE- in bRMSE
         # on a dataset with a meaningful fake share (averaged over seeds
         # this is solid; single-seed we allow a small tolerance).
         dataset, train, test = data
-        rrre = RRRERating(fast_config(epochs=6, seed=0)).fit(dataset, train)
-        minus = RRRERating(fast_config(epochs=6, seed=0), biased=False).fit(dataset, train)
+        rrre = RRREAdapter(fast_config(epochs=6, seed=0)).fit(dataset, train)
+        minus = RRREAdapter(fast_config(epochs=6, seed=0), biased=False).fit(dataset, train)
         b1 = biased_rmse(rrre.predict_subset(test), test.ratings, test.labels)
         b2 = biased_rmse(minus.predict_subset(test), test.ratings, test.labels)
         assert b1 < b2 + 0.1

@@ -62,31 +62,31 @@ def _variant(key):
 
 
 DIGESTS = {
-    "yelpchi-0-0.15": "53c1052034a7c079064574913ec0fae0ad31f8cd8afeea241239a20088236ac3",
-    "yelpchi-0-0.5": "2fc8c5b65804ffd85dc6cfa0c55b71290b13c2b048a9cad92bf26af26e5a2f89",
-    "yelpchi-3-0.15": "6f488c707b4ccbe60acb1a32777656ac6dcb66f81510c8968cd52dba583b8f1e",
-    "yelpchi-3-0.5": "42acbb411709b3af88baa58a27a98529eee5898f3ec141b982c31b5c80fa5605",
-    "yelpnyc-0-0.15": "94a07996003f3a763b004cd43e2e932ce1a10ffea06b11bdbd706842b68d6df7",
-    "yelpnyc-0-0.5": "3ae4bc9d4ba0ef692226734dac77b7df39778ca1730ed0fe23c552041bb5cd06",
-    "yelpnyc-3-0.15": "d0a8ab5438242d02130de3d6e574a4e4fef94bc466e77d8300f3ab07d0a72e0b",
-    "yelpnyc-3-0.5": "d2f77b1a498a9a3dee6054d2a08335708f0cb95bebd0708db9ffbc24dcaba1b4",
-    "yelpzip-0-0.15": "f362eb2c138b522da18117ddee6fbd4c1e241df16ff1e77d1310bb92d6c1bfdf",
-    "yelpzip-0-0.5": "570836f97c97516d35c253f9aac1e57880a0b1f93b9a1cfb1080a0769e7973bd",
-    "yelpzip-3-0.15": "b66cf7af333a24ddd03d44ae63ae7fcfe6be3387ed3a81b08990ec1e47fcc91c",
-    "yelpzip-3-0.5": "e14038752023ba13fae5d73212d4b5acf8db0f2119eb64f57c4bed2c2838d5fc",
-    "musics-0-0.15": "467af227dcce436cc0c854fe1eb77ea61e79c202a945f53b7eb3d8b3b262402b",
-    "musics-0-0.5": "baa2d0bfe880194e41a135c2b995665f0b0234803f09bb0865677d9f867738b5",
-    "musics-3-0.15": "e5ebec47cafc34ff64c109498bf5181796b9ee6abe117bee4d4f721ad5b09979",
-    "musics-3-0.5": "77d5c8179eb9b9201b81ffa2a1833eacc524868c37068899686bac3a5fe90e41",
-    "cds-0-0.15": "66014d08d7c887be82791d516f900dba730dfb3673fe1d70152818a7a7c7e5f3",
-    "cds-0-0.5": "9a43c793654f67d8ec54ff1a6c1b163ed0a9ba070b472ab6d639c9584d6e98ce",
-    "cds-3-0.15": "977e470442540e8da15b72b944d38eee1c5b1745aec74e4c4d95cc2f8bf2f821",
-    "cds-3-0.5": "4ca2c9e104df8a5c7171584d21cea416f3226be354e9cbc0f12d58fab5ee297a",
-    "yelpzip-0-0.3": "98d5aad5a6d1c451918a30b08e7a5055b9908d99c7eb7f2d450d1b83083e61e3",
-    "musics-5-2.0": "1fe0c66b04889ebddab8b35fa4d731a9c1557d4040152ec9501316e2f338d80e",
-    "musics-fake-0.35": "d2aaec11bc2d3dfa14a10f1a2b9d47768d9226d15cd716cf12e598f9b05becdb",
-    "yelpchi-random-polarity": "d657ca1ddd234402f5d72e78ae94aac73fff1fac1c123d282f55c4af65e2ea52",
-    "yelpzip-camouflage-0.9": "d2c25eea1a49a3615bf7d118135e4eb296492a943c6f535662f61e2a254d8934",
+    "yelpchi-0-0.15": "638a66ca78bba3c1e2753dfd6dd021ed1210226b130dc0405610c93b7dde1d3c",
+    "yelpchi-0-0.5": "bb20c31037694c0f46064be79325ed4db083891dc63f141f137f96e41ae8a184",
+    "yelpchi-3-0.15": "778a45484ed2414b7b14f3f826802c8d11b66247f6678d8b5eee798b758ee125",
+    "yelpchi-3-0.5": "c4f4e895c5db6258725ee5d5a938b074f11f2a157455411a900d256f149bf4f6",
+    "yelpnyc-0-0.15": "95a410390fa0adaea8050cf250d88aa48dfecd87bc621ec8fe2ae961473d399b",
+    "yelpnyc-0-0.5": "fc01cfc8a5640fb052b5d417ce2fef01046e0663227464a8d6b9afbf6d1a0c56",
+    "yelpnyc-3-0.15": "c680194d9cfa1d67e682215cf7ed51ae90e4d2cb8cc93d2dace9e494ee3d1c4e",
+    "yelpnyc-3-0.5": "fc73ac8bc5151bcf844393af2e7051e9078d6b743e0dd99ffc040f14098de8cf",
+    "yelpzip-0-0.15": "741bc68cfc065dcaa4df814e6fadd9bc6c280c450d53991c1833cdc64112d766",
+    "yelpzip-0-0.5": "27f26efa117eeaeca0b89f92ce996a0e4ac787f290524582b725dae5c949649f",
+    "yelpzip-3-0.15": "5ef354aff968c3b87af3ab706b37a42cd117936fcb0a371e37bc98059a9a5d1f",
+    "yelpzip-3-0.5": "794eab000c7304613576c5939dcb83fd6072f9cce6e30f4c27f6c94a19b7793e",
+    "musics-0-0.15": "8f726089341a40b5f058904b46c18fbbf103d13bc89bfaaef2d5bbf28b0a50c9",
+    "musics-0-0.5": "907606ecfb3d54a4431339407706c6b02dde63f11f559aff8805373763f05436",
+    "musics-3-0.15": "b30527d61c0f4d7481d347860c36b2b2a99d21a654fd0e2c1331c8b9e0c0438b",
+    "musics-3-0.5": "6b9fee6de493a07755ef3c211591d32b2ed1965e0e2d83e339000e3119256080",
+    "cds-0-0.15": "719652afa24f8867354ea7092f7f3c40eb977d5e534437e970bb61d144b0b9cd",
+    "cds-0-0.5": "45767f98dad262b7a60036f6a4492ea57981d5319f0306b0adaab559cebee4ab",
+    "cds-3-0.15": "36ff73319d3a1c4215430875a21182ec8d396b950dab70f1be31d2aa89423474",
+    "cds-3-0.5": "f3a31880bbb4f70aa94d248a0f991c7e6e3387a507650ff7f82bee6b3a8c6273",
+    "yelpzip-0-0.3": "d97110423f1e86cc6c159737c59a8c7c1860b7c4793b4d07eb9cd5eed1762221",
+    "musics-5-2.0": "a61b68371fda97a433393ea6e1327a488425998633983241e40227bd678ff68c",
+    "musics-fake-0.35": "5945bb22fe317d6c979078a0a80fd9fba256a972506c888a481edd900e320b85",
+    "yelpchi-random-polarity": "a29a8b8f339c3483dc1f3e29c18ca3b49e82f438cb138c2862f8530c822ff67c",
+    "yelpzip-camouflage-0.9": "2de3cb9c491d0887d4cf9175a9a1384d3e054c260bad45f5ea78091a9acad25f",
 }
 
 

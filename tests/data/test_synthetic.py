@@ -112,6 +112,32 @@ class TestGeneratePlatform:
         assert np.mean(spreads_fake) < np.mean(spreads_benign)
 
 
+class TestTruthIdSpaces:
+    """``PlatformTruth`` is indexed by dataset ids; musics 0.3 seed 0 trims
+    both users and items, so a raw id would be out of range or wrong."""
+
+    @pytest.fixture(scope="class")
+    def platform(self):
+        return load_dataset("musics", seed=0, scale=0.3, return_truth=True)
+
+    def test_campaign_targets_are_dataset_items(self, platform):
+        ds, truth = platform
+        quality = truth.item_quality[truth.campaign_targets]
+        assert len(quality) == len(truth.campaign_targets)
+        attacked = set(ds.item_ids[ds.labels == 0].tolist())
+        assert set(truth.campaign_targets) <= attacked
+
+    def test_user_bias_per_dataset_user(self, platform):
+        ds, truth = platform
+        assert len(truth.user_bias) == ds.num_users
+        np.testing.assert_array_equal(np.isnan(truth.user_bias), truth.fraud_user_flags)
+        # A benign rating is quality + bias + preference term + noise.
+        benign = ~truth.fraud_user_flags[ds.user_ids]
+        residual = ds.ratings[benign] - truth.item_quality[ds.item_ids[benign]]
+        bias = truth.user_bias[ds.user_ids[benign]]
+        assert np.corrcoef(residual, bias)[0, 1] > 0.5
+
+
 class TestPresets:
     def test_all_presets_load(self):
         for name in DATASET_NAMES:

@@ -7,66 +7,91 @@ epochs) — the full-scale runs live in benchmarks/.
 import numpy as np
 import pytest
 
+from repro.core import RRRETrainer
 from repro.eval import (
+    NDCG_KS,
     bench_rrre_config,
     format_series,
     format_table,
     run_ablation_encoder,
-    run_protocol,
+    run_seeds,
     run_table2,
     run_table3,
     run_table4,
+    run_table5,
     run_table7,
     run_table8,
+    run_tables3to6,
+    seed_mean,
     sparkline,
-    split_for,
 )
-from repro.eval.protocol import AggregateResult, RunResult
+
+
+class _Toy:
+    """A rating model that predicts 3 stars and logs the split it saw."""
+
+    def __init__(self, log=None):
+        self.log = log if log is not None else []
+
+    def fit(self, dataset, train, test=None):
+        self.sizes = (len(dataset), len(train))
+        return self
+
+    def predict_subset(self, subset):
+        self.log.append((self.sizes, len(subset), float(subset.ratings.sum())))
+        return np.full(len(subset), 3.0)
+
+
+class _ToyScorer:
+    """A reliability model that scores each review by its rating."""
+
+    def fit(self, dataset, train, test=None):
+        return self
+
+    def score_subset(self, subset):
+        return subset.ratings
 
 
 class TestProtocol:
-    def test_run_protocol_aggregates(self):
-        def evaluator(dataset, train, test, seed):
-            return {"metric": float(len(test))}
-
-        results = run_protocol(
-            "yelpchi", {"toy": evaluator}, seeds=(0, 1), scale=0.2
-        )
-        agg = results["toy"]
-        assert len(agg.runs) == 2
-        assert agg.mean("metric") > 0
-        assert agg.std("metric") >= 0
+    def test_run_seeds_rows(self):
+        rows = run_seeds(("yelpchi",), {"toy": lambda seed: _Toy()}, seeds=(0, 1), scale=0.2)
+        assert [(r["dataset"], r["seed"], r["model"]) for r in rows] == [
+            ("yelpchi", 0, "toy"),
+            ("yelpchi", 1, "toy"),
+        ]
+        assert all(r["brmse"] > 0 for r in rows)
+        mean = seed_mean(rows, "yelpchi", "toy", "brmse")
+        assert mean == float(np.mean([r["brmse"] for r in rows]))
 
     def test_missing_metric_raises(self):
-        agg = AggregateResult("d", "m", [RunResult("d", "m", 0, {"a": 1.0})])
+        rows = run_seeds(("yelpchi",), {"toy": lambda seed: _Toy()}, seeds=(0,), scale=0.2)
         with pytest.raises(KeyError):
-            agg.mean("b")
+            seed_mean(rows, "yelpchi", "toy", "auc")
+        with pytest.raises(KeyError):
+            seed_mean(rows, "yelpchi", "absent", "brmse")
 
-    def test_metric_names_union(self):
-        agg = AggregateResult(
-            "d",
-            "m",
-            [
-                RunResult("d", "m", 0, {"a": 1.0}),
-                RunResult("d", "m", 1, {"b": 2.0}),
-            ],
-        )
-        assert agg.metric_names == ["a", "b"]
+    def test_metrics_follow_the_interface(self):
+        models = {"rating": lambda seed: _Toy(), "scorer": lambda seed: _ToyScorer()}
+        rating, scorer = run_seeds(("musics",), models, seeds=(0,), scale=0.2)
+        assert set(rating) == {"dataset", "seed", "model", "brmse"}
+        assert set(scorer) == {"dataset", "seed", "model", "auc", "ap"} | {
+            f"ndcg@{k}" for k in NDCG_KS
+        }
 
-    def test_split_for(self):
-        dataset, train, test = split_for("musics", seed=0, scale=0.2)
-        assert len(train) + len(test) == len(dataset)
+    def test_rows_score_the_70_30_split(self):
+        log = []
+        run_seeds(("musics",), {"toy": lambda seed: _Toy(log)}, seeds=(0,), scale=0.2)
+        [((n_reviews, n_train), n_test, _)] = log
+        assert n_train + n_test == n_reviews
+        assert n_train > n_test
 
     def test_protocol_seeded_reproducible(self):
-        captured = []
-
-        def evaluator(dataset, train, test, seed):
-            captured.append(float(test.ratings.sum()))
-            return {"x": 0.0}
-
-        run_protocol("yelpchi", {"a": evaluator}, seeds=(3,), scale=0.2)
-        run_protocol("yelpchi", {"a": evaluator}, seeds=(3,), scale=0.2)
-        assert captured[0] == captured[1]
+        log = []
+        models = {"a": lambda seed: _Toy(log)}
+        first = run_seeds(("yelpchi",), models, seeds=(3,), scale=0.2)
+        second = run_seeds(("yelpchi",), models, seeds=(3,), scale=0.2)
+        assert first == second
+        assert log[0] == log[1]
 
 
 class TestReporting:
@@ -147,3 +172,75 @@ class TestExperimentRunners:
             encoders=("mean",), scale=0.2, seeds=(0,), epochs=2
         )
         assert "mean" in report.data["values"]
+
+
+def _cells(rendered, label):
+    """The cells of the rendered table row labelled ``label``, unstarred."""
+    for line in rendered.splitlines():
+        parts = line.split()
+        if parts and parts[0] == label:
+            return [part.rstrip("*") for part in parts[1:]]
+    raise AssertionError(f"no row {label!r} in\n{rendered}")
+
+
+def _row_mean(rows, metric, dataset, model):
+    return float(
+        np.mean([r[metric] for r in rows if r["dataset"] == dataset and r["model"] == model])
+    )
+
+
+class TestSeededTables:
+    """Tables III-VI from one set of fits, as ``python -m repro all`` runs them."""
+
+    DATASETS = ("yelpchi", "cds")
+
+    @pytest.fixture(scope="class")
+    def tables(self):
+        fitted = []
+        fit = RRRETrainer.fit
+
+        def counting_fit(trainer, *args, **kwargs):
+            fitted.append(trainer.config.biased_loss)
+            return fit(trainer, *args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(RRRETrainer, "fit", counting_fit)
+            reports = run_tables3to6(datasets=self.DATASETS, seeds=(0,), scale=0.2, epochs=2)
+        return reports, fitted
+
+    def test_rrre_fitted_once_per_catalog_seed_and_loss(self, tables):
+        reports, fitted = tables
+        assert sorted(reports) == ["table3", "table4", "table5", "table6"]
+        # RRRE and RRRE- on two catalogs; one fit per table would be 8.
+        assert sorted(fitted) == [False, False, True, True]
+
+    def test_table3_cells_are_row_means(self, tables):
+        report = tables[0]["table3"]
+        for dataset in self.DATASETS:
+            row = report.data["brmse"][dataset]
+            for (model, value), cell in zip(row.items(), _cells(report.rendered, dataset)):
+                mean = _row_mean(report.data["rows"], "brmse", dataset, model)
+                assert value == mean and cell == f"{mean:.3f}"
+
+    def test_table4_cells_are_row_means(self, tables):
+        report = tables[0]["table4"]
+        for metric, panel in zip(("auc", "ap"), report.rendered.split("\n\n")):
+            for model, by_dataset in report.data[metric].items():
+                for (dataset, value), cell in zip(by_dataset.items(), _cells(panel, model)):
+                    mean = _row_mean(report.data["rows"], metric, dataset, model)
+                    assert value == mean and cell == f"{mean:.3f}"
+
+    @pytest.mark.parametrize("table,dataset", [("table5", "yelpchi"), ("table6", "cds")])
+    def test_ndcg_cells_are_row_means(self, tables, table, dataset):
+        report = tables[0][table]
+        assert {row["dataset"] for row in report.data["rows"]} == {dataset}
+        for k, by_model in report.data["ndcg"].items():
+            for (model, value), cell in zip(by_model.items(), _cells(report.rendered, k)):
+                mean = _row_mean(report.data["rows"], f"ndcg@{k}", dataset, model)
+                assert value == mean and cell == f"{mean:.3f}"
+
+    def test_shared_fits_give_the_standalone_table(self, tables):
+        alone = run_table5(seeds=(0,), scale=0.2, epochs=2)
+        shared = tables[0]["table5"]
+        assert shared.rendered == alone.rendered
+        assert shared.data == alone.data

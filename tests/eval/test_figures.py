@@ -42,12 +42,15 @@ class TestFig3And4:
 class TestNdcgRunner:
     def test_table5_miniature(self):
         report = run_ndcg_table(
-            "yelpchi", ks=(5, 10), seeds=(0,), scale=0.2, epochs=2
+            "yelpchi", ks=(10, 20), seeds=(0,), scale=0.2, epochs=2
         )
-        assert set(report.data["ndcg"]) == {"5", "10"}
+        assert set(report.data["ndcg"]) == {"10", "20"}
         for row in report.data["ndcg"].values():
             for value in row.values():
                 assert 0.0 <= value <= 1.0
+        # Rows record NDCG at NDCG_KS only; another k is refused up front.
+        with pytest.raises(ValueError):
+            run_ndcg_table("yelpchi", ks=(5, 10), seeds=(0,), scale=0.2, epochs=2)
 
 
 class TestAblations:
